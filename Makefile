@@ -2,12 +2,12 @@
 #
 #   vet          go vet + a gofmt -l cleanliness check over everything
 #   build        compile everything
-#   test         full unit/differential suite
+#   test         full unit/differential suite (including the gapped-layout
+#                property tests of internal/btree, DESIGN.md §10)
 #   race         the concurrency-heavy packages under the race detector
 #                (the pipeline, the PALM BSP stages — including the
-#                kernel-ablation matrix, all 2^4 sorted-batch kernel ×
-#                layout flag combos differentially vs the oracle — the
-#                sharded engine, the facade stream and service hammers,
+#                sorted-batch kernel differential tests vs the oracle —
+#                the sharded engine, the facade stream and service hammers,
 #                the WAL syncer, the batcher close/submit races, and the
 #                metrics registry's sharded counters under snapshot vs
 #                live Serve traffic, and the TCP server front end's
@@ -22,19 +22,18 @@
 #                snapshot portability, lost-tier-dir recovery)
 #   fuzz-smoke   10s runs of the shard differential fuzzer (the
 #                sharded/serial equivalence property of DESIGN.md §6,
-#                including scan/RMW and dense-layout arms), the
+#                including scan/RMW arms), the
 #                autoshard differential fuzzer (random ops with the
 #                resharding controller stepping between batches vs the
 #                serial oracle, DESIGN.md §13), the
-#                range/RMW differential fuzzer (every engine mode and
-#                layout vs the oracle on batches mixing all five ops,
+#                range/RMW differential fuzzer (every engine mode vs
+#                the oracle on batches mixing all five ops,
 #                DESIGN.md §11), the crash-recovery fuzzer (the
 #                durability property of DESIGN.md §7: power cut at an
 #                arbitrary byte, then recover to an acked whole-batch
-#                prefix — with gapped and dense pre-crash configs and
-#                RMW in the workload), and the dual-layout tree fuzzer
-#                (gapped and dense trees in lockstep vs a map oracle,
-#                DESIGN.md §10), the wire-protocol frame decoder
+#                prefix — with RMW in the workload), the tree fuzzer
+#                (the serial gapped tree vs a map oracle, DESIGN.md
+#                §10), the wire-protocol frame decoder
 #                (canonical re-encode property, DESIGN.md §12), and the
 #                tiered differential fuzzer (tiered facade vs the plain
 #                facade and a map oracle with random demotion budgets,
@@ -46,9 +45,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-kernels race-layout race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke bench bench-kernels bench-layout bench-scan bench-serve bench-autoshard bench-tiered
+.PHONY: ci vet build test race race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke bench bench-scan bench-serve bench-autoshard bench-tiered
 
-ci: vet build test race race-kernels race-layout race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke
+ci: vet build test race race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -63,22 +62,8 @@ test:
 race:
 	$(GO) test -race ./internal/core ./internal/palm ./internal/shard ./internal/wal ./internal/batcher ./internal/metrics ./internal/server ./qtrans
 
-# The sorted-batch kernel ablation matrix (all 2^4 flag combos, small
-# differential workloads vs the oracle) under the race detector. Also
-# part of the plain `race` target's ./internal/palm run; kept callable
-# on its own for quick kernel work.
-race-kernels:
-	$(GO) test -race -run 'KernelAblation' -count=1 ./internal/palm
-
-# The gapped-layout property tests (DESIGN.md §10) under the race
-# detector: random-op differential runs at several orders plus the
-# dense/gapped conversion round-trips. The PALM-level gapped race
-# coverage is the gapped half of the 2^4 race-kernels matrix.
-race-layout:
-	$(GO) test -race -run 'Gapped|Layout' -count=1 ./internal/btree
-
 # The scan/RMW paths (DESIGN.md §11) under the race detector: the
-# engine's epoch-fenced extended batches across all modes and layouts,
+# engine's epoch-fenced extended batches across all modes,
 # the pipeline's drain-and-fence tree stage, the shard splitter/merger
 # on straddling scans, and the facade-level batch API. Also part of the
 # plain `race` target's package runs; kept callable on its own.
@@ -126,29 +111,11 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run=XXX -bench=BenchmarkPipeline -benchtime=1x .
 	$(GO) test -run=XXX -bench=BenchmarkDurability -benchtime=1x ./qtrans
-	$(GO) test -run=XXX -bench=BenchmarkKernels -benchtime=1x ./internal/palm
-	$(GO) test -run=XXX -bench=BenchmarkLayout -benchtime=1x ./internal/palm
 	$(GO) run ./cmd/qtransbench -experiment tiered -scale 0.0002 -batches 2 -workers 2
 
 # Full benchmark sweep with allocation reporting (not part of ci).
 bench:
 	$(GO) test -run=XXX -bench=. -benchmem .
-
-# Sorted-batch tree kernel measurements (DESIGN.md §8): the isolated
-# descend/leafapply/endtoend microbenchmarks, then the harness ablation
-# sweep written to BENCH_kernels.json (not part of ci).
-bench-kernels:
-	$(GO) test -run=XXX -bench=BenchmarkKernels -benchtime=200ms ./internal/palm
-	$(GO) run ./cmd/qtransbench -experiment kernels -scale 0.05 -json BENCH_kernels.json
-
-# Gapped vs dense node layout (DESIGN.md §10): the single-threaded
-# search/churn microbenchmarks, then the harness ablation sweep —
-# gapped vs dense across query organizations and update ratios, with
-# splits-per-batch and shifted-slots-per-batch — written to
-# BENCH_layout.json (not part of ci).
-bench-layout:
-	$(GO) test -run=XXX -bench=BenchmarkLayout -benchtime=200ms ./internal/palm
-	$(GO) run ./cmd/qtransbench -experiment layout -scale 0.05 -json BENCH_layout.json
 
 # Range scans and read-modify-write (DESIGN.md §11): batched scans vs
 # the same coverage as repeated point gets, and AddDelta vs the

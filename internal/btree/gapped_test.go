@@ -2,6 +2,7 @@ package btree
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/keys"
@@ -17,13 +18,7 @@ import (
 func TestGappedPropertyRandomOps(t *testing.T) {
 	for _, order := range []int{MinOrder, 8, DefaultOrder} {
 		r := rand.New(rand.NewSource(int64(order)))
-		tr, err := NewLayout(order, LayoutGapped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Layout() != LayoutGapped {
-			t.Fatalf("order %d: layout %v", order, tr.Layout())
-		}
+		tr := MustNew(order)
 		oracle := map[keys.Key]keys.Value{}
 		span := keys.Key(40 * order)
 		ops := 6000
@@ -77,50 +72,9 @@ func TestGappedPropertyRandomOps(t *testing.T) {
 	}
 }
 
-// TestSetLayoutRoundTrip converts a populated tree gapped → dense →
-// gapped and demands identical contents and a valid structure at every
-// step, plus no-op conversions staying cheap (same root).
-func TestSetLayoutRoundTrip(t *testing.T) {
-	tr := MustNew(8)
-	r := rand.New(rand.NewSource(9))
-	for i := 0; i < 3000; i++ {
-		tr.Insert(keys.Key(r.Intn(10000)), keys.Value(i))
-	}
-	wantK, wantV := tr.Dump()
-
-	root := tr.Root()
-	if err := tr.SetLayout(LayoutGapped); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Root() != root {
-		t.Fatal("no-op SetLayout rebuilt the tree")
-	}
-
-	for _, l := range []Layout{LayoutDense, LayoutGapped, LayoutDense} {
-		if err := tr.SetLayout(l); err != nil {
-			t.Fatal(err)
-		}
-		if tr.Layout() != l {
-			t.Fatalf("layout %v after SetLayout(%v)", tr.Layout(), l)
-		}
-		if err := tr.Validate(StrictFill); err != nil {
-			t.Fatalf("after SetLayout(%v): %v", l, err)
-		}
-		gk, gv := tr.Dump()
-		if len(gk) != len(wantK) {
-			t.Fatalf("after SetLayout(%v): %d entries, want %d", l, len(gk), len(wantK))
-		}
-		for i := range gk {
-			if gk[i] != wantK[i] || gv[i] != wantV[i] {
-				t.Fatalf("after SetLayout(%v): mismatch at %d", l, i)
-			}
-		}
-	}
-}
-
 // TestGappedBulkLoadLeavesGaps checks the bulk loader's occupancy
-// target: a gapped bulk-loaded tree must leave free slots in its leaves
-// (that is the point of the layout) while a dense one packs them full.
+// target: a bulk-loaded tree must leave free slots in its leaves (that
+// is the point of the gapped layout).
 func TestGappedBulkLoadLeavesGaps(t *testing.T) {
 	n := 10000
 	ks := make([]keys.Key, n)
@@ -129,7 +83,7 @@ func TestGappedBulkLoadLeavesGaps(t *testing.T) {
 		ks[i] = keys.Key(2 * i)
 		vs[i] = keys.Value(i)
 	}
-	tr, err := BulkLoadLayout(DefaultOrder, LayoutGapped, ks, vs)
+	tr, err := BulkLoad(DefaultOrder, ks, vs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,4 +119,33 @@ func countLeaves(t *Tree) int {
 	n := 0
 	t.VisitLeaves(func(int, int) { n++ })
 	return n
+}
+
+// TestValidateRejectsUnpackedNode checks that Validate demands a
+// presence bitmap on every node: an internal node assembled by hand
+// (&Node{Children: ...}) and never packed has none, so the tree must be
+// reported invalid until the node is packed.
+func TestValidateRejectsUnpackedNode(t *testing.T) {
+	order := 4
+	l1, l2 := NewGappedLeaf(order-1), NewGappedLeaf(order-1)
+	PackLeafGapped(l1, []keys.Key{1, 2}, []keys.Value{10, 20})
+	PackLeafGapped(l2, []keys.Key{50, 60}, []keys.Value{500, 600})
+	l1.Next = l2
+	root := &Node{Children: []*Node{l1, l2}}
+	tr := &Tree{root: root, order: order, size: 4}
+	if err := tr.Validate(RelaxedFill); err == nil || !strings.Contains(err.Error(), "presence bitmap") {
+		t.Fatalf("internal node without presence bitmap: Validate = %v", err)
+	}
+
+	SetInternalGapped(root, order-1, []keys.Key{50}, root.Children)
+	if err := tr.Validate(StrictFill); err != nil {
+		t.Fatalf("packed tree invalid: %v", err)
+	}
+
+	// An unpacked leaf fails the same way.
+	tr.root = &Node{Keys: []keys.Key{7}, Vals: []keys.Value{70}}
+	tr.size = 1
+	if err := tr.Validate(RelaxedFill); err == nil || !strings.Contains(err.Error(), "presence bitmap") {
+		t.Fatalf("leaf without presence bitmap: Validate = %v", err)
+	}
 }

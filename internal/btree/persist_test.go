@@ -120,45 +120,72 @@ func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 	}
 }
 
-// TestSaveLoadDenseLayout checks the layout byte round-trips: a dense
-// tree reloads dense, a gapped tree gapped, and LoadLayout overrides
-// whatever the snapshot recorded.
-func TestSaveLoadDenseLayout(t *testing.T) {
-	for _, l := range []Layout{LayoutGapped, LayoutDense} {
-		tr, err := NewLayout(8, l)
+// qbt3Snapshot hand-writes a current-format ("QBT3") snapshot with an
+// arbitrary layout byte, so tests can build the headers older writers
+// produced without committing binary fixtures.
+func qbt3Snapshot(order uint32, layout byte, ks []keys.Key, vs []keys.Value) []byte {
+	hdr := make([]byte, 13)
+	binary.LittleEndian.PutUint32(hdr[0:4], order)
+	hdr[4] = layout
+	binary.LittleEndian.PutUint64(hdr[5:13], uint64(len(ks)))
+	return rawSnapshot("QBT3", hdr, ks, vs)
+}
+
+// rawSnapshot frames magic, header and pairs with the CRC32C trailer
+// over everything after the magic.
+func rawSnapshot(magic string, hdr []byte, ks []keys.Key, vs []keys.Value) []byte {
+	body := append(make([]byte, 0, len(hdr)+16*len(ks)), hdr...)
+	for i := range ks {
+		var rec [16]byte
+		binary.LittleEndian.PutUint64(rec[0:8], uint64(ks[i]))
+		binary.LittleEndian.PutUint64(rec[8:16], uint64(vs[i]))
+		body = append(body, rec[:]...)
+	}
+	out := append([]byte(magic), body...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, castagnoli))
+}
+
+// TestLoadLegacyDenseLayoutByte locks snapshot compatibility across the
+// removal of the dense node layout: a QBT3 snapshot whose layout byte
+// is 1 (written by a dense-layout DB) still loads, rebuilt gapped with
+// the same contents; bytes above 1 stay rejected even under a valid
+// checksum; and Save always writes 0.
+func TestLoadLegacyDenseLayoutByte(t *testing.T) {
+	n := 500
+	ks := make([]keys.Key, n)
+	vs := make([]keys.Value, n)
+	for i := range ks {
+		ks[i] = keys.Key(i * 3)
+		vs[i] = keys.Value(i)
+	}
+	for _, layout := range []byte{0, 1} {
+		got, err := Load(bytes.NewReader(qbt3Snapshot(8, layout, ks, vs)), 0)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("layout byte %d: %v", layout, err)
 		}
-		for i := 0; i < 500; i++ {
-			tr.Insert(keys.Key(i*3), keys.Value(i))
+		if err := got.Validate(StrictFill); err != nil {
+			t.Fatalf("layout byte %d: %v", layout, err)
+		}
+		if got.Order() != 8 || got.Len() != n {
+			t.Fatalf("layout byte %d: order %d len %d", layout, got.Order(), got.Len())
+		}
+		gk, gv := got.Dump()
+		for i := range ks {
+			if gk[i] != ks[i] || gv[i] != vs[i] {
+				t.Fatalf("layout byte %d: pair %d mismatch", layout, i)
+			}
 		}
 		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
+		if err := got.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		raw := buf.Bytes()
-
-		got, err := Load(bytes.NewReader(raw), 0)
-		if err != nil {
-			t.Fatal(err)
+		if b := buf.Bytes()[8]; b != 0 {
+			t.Fatalf("layout byte %d: re-save wrote layout byte %d, want 0", layout, b)
 		}
-		if got.Layout() != l {
-			t.Fatalf("saved %v, loaded %v", l, got.Layout())
-		}
-		for _, force := range []Layout{LayoutGapped, LayoutDense} {
-			forced, err := LoadLayout(bytes.NewReader(raw), 0, force)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if forced.Layout() != force {
-				t.Fatalf("LoadLayout(%v) built %v", force, forced.Layout())
-			}
-			if err := forced.Validate(StrictFill); err != nil {
-				t.Fatal(err)
-			}
-			if forced.Len() != tr.Len() {
-				t.Fatalf("LoadLayout(%v): %d entries, want %d", force, forced.Len(), tr.Len())
-			}
+	}
+	for _, layout := range []byte{2, 0x7f, 0xff} {
+		if _, err := Load(bytes.NewReader(qbt3Snapshot(8, layout, ks, vs)), 0); err == nil {
+			t.Fatalf("layout byte %d accepted", layout)
 		}
 	}
 }
@@ -167,28 +194,15 @@ func TestSaveLoadDenseLayout(t *testing.T) {
 // with no layout byte, same CRC trailer. Kept in the test only — the
 // writer for this format no longer exists in the tree.
 func v1Snapshot(order uint32, ks []keys.Key, vs []keys.Value) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("QBT2")
-	body := make([]byte, 12, 12+16*len(ks))
-	binary.LittleEndian.PutUint32(body[0:4], order)
-	binary.LittleEndian.PutUint64(body[4:12], uint64(len(ks)))
-	for i := range ks {
-		var rec [16]byte
-		binary.LittleEndian.PutUint64(rec[0:8], uint64(ks[i]))
-		binary.LittleEndian.PutUint64(rec[8:16], uint64(vs[i]))
-		body = append(body, rec[:]...)
-	}
-	buf.Write(body)
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc32.Checksum(body, castagnoli))
-	buf.Write(tail[:])
-	return buf.Bytes()
+	hdr := make([]byte, 12)
+	binary.LittleEndian.PutUint32(hdr[0:4], order)
+	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(ks)))
+	return rawSnapshot("QBT2", hdr, ks, vs)
 }
 
 // TestLoadLegacyV1Snapshot locks backward compatibility: a snapshot in
-// the pre-gap v1 format loads into a (default) gapped tree with the
-// same contents, LoadLayout can force it dense, and the v1 bytes are
-// still protected by their checksum.
+// the pre-gap v1 format loads into a tree with the same contents, and
+// the v1 bytes are still protected by their checksum.
 func TestLoadLegacyV1Snapshot(t *testing.T) {
 	n := 300
 	ks := make([]keys.Key, n)
@@ -203,9 +217,6 @@ func TestLoadLegacyV1Snapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Layout() != LayoutGapped {
-		t.Fatalf("v1 snapshot loaded as %v, want gapped default", got.Layout())
-	}
 	if got.Order() != 8 || got.Len() != n {
 		t.Fatalf("order %d len %d", got.Order(), got.Len())
 	}
@@ -217,14 +228,6 @@ func TestLoadLegacyV1Snapshot(t *testing.T) {
 		if gk[i] != ks[i] || gv[i] != vs[i] {
 			t.Fatalf("pair %d mismatch", i)
 		}
-	}
-
-	dense, err := LoadLayout(bytes.NewReader(snap), 0, LayoutDense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.Layout() != LayoutDense || dense.Len() != n {
-		t.Fatalf("forced dense: layout %v len %d", dense.Layout(), dense.Len())
 	}
 
 	// Every single-byte corruption of the v1 snapshot must be rejected

@@ -38,12 +38,6 @@ func TestSearchKernelsExhaustive(t *testing.T) {
 				if got, want := SearchGT(ks, probe), refGT(ks, probe); got != want {
 					t.Fatalf("SearchGT(%v, %d) = %d, want %d", ks, probe, got, want)
 				}
-				if got, want := SearchGEClosure(ks, probe), refGE(ks, probe); got != want {
-					t.Fatalf("SearchGEClosure(%v, %d) = %d, want %d", ks, probe, got, want)
-				}
-				if got, want := SearchGTClosure(ks, probe), refGT(ks, probe); got != want {
-					t.Fatalf("SearchGTClosure(%v, %d) = %d, want %d", ks, probe, got, want)
-				}
 			}
 		}
 	}
@@ -83,8 +77,8 @@ func TestSearchKernelsRandomWide(t *testing.T) {
 	}
 }
 
-// BenchmarkSearchKernels pits the branchless probes against the
-// closure-based sort.Search forms on a default-order node with random
+// BenchmarkSearchKernels pits the branchless probe against the
+// closure-based sort.Search reference on a default-order node with random
 // probe keys (the branch-hostile case).
 func BenchmarkSearchKernels(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
@@ -104,17 +98,19 @@ func BenchmarkSearchKernels(b *testing.B) {
 	})
 	b.Run("closure", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sink += SearchGEClosure(ks, probes[i&1023])
+			sink += refGE(ks, probes[i&1023])
 		}
 	})
 	_ = sink
 }
 
 // TestLeafFind checks the leaf-probe kernel against the map truth on a
-// random leaf, for both kernel forms.
+// random gapped leaf.
 func TestLeafFind(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	leaf := &Node{}
+	leaf := NewGappedLeaf(DefaultOrder - 1)
+	var ks []keys.Key
+	var vs []keys.Value
 	truth := map[keys.Key]keys.Value{}
 	for i := 0; i < 40; i++ {
 		k := keys.Key(r.Intn(100))
@@ -125,17 +121,15 @@ func TestLeafFind(t *testing.T) {
 	}
 	for k := keys.Key(0); k < 100; k++ {
 		if v, ok := truth[k]; ok {
-			leaf.Keys = append(leaf.Keys, k)
-			leaf.Vals = append(leaf.Vals, v)
+			ks = append(ks, k)
+			vs = append(vs, v)
 		}
 	}
+	PackLeafGapped(leaf, ks, vs)
 	for k := keys.Key(0); k < 110; k++ {
 		wantV, wantOK := truth[k]
 		if v, ok := LeafFind(leaf, k); ok != wantOK || (ok && v != wantV) {
 			t.Fatalf("LeafFind(%d) = %d,%v want %d,%v", k, v, ok, wantV, wantOK)
-		}
-		if v, ok := LeafFindClosure(leaf, k); ok != wantOK || (ok && v != wantV) {
-			t.Fatalf("LeafFindClosure(%d) = %d,%v want %d,%v", k, v, ok, wantV, wantOK)
 		}
 	}
 }

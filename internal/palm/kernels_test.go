@@ -1,7 +1,6 @@
 package palm
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,25 +9,6 @@ import (
 	"repro/internal/keys"
 	"repro/internal/oracle"
 )
-
-// kernelCombos enumerates all 2⁴ kernel/layout ablation settings.
-func kernelCombos() []Config {
-	var out []Config
-	for bits := 0; bits < 16; bits++ {
-		out = append(out, Config{
-			NoPathReuse:        bits&1 != 0,
-			NoBranchlessSearch: bits&2 != 0,
-			NoMergeApply:       bits&4 != 0,
-			NoGappedLayout:     bits&8 != 0,
-		})
-	}
-	return out
-}
-
-func comboName(c Config) string {
-	return fmt.Sprintf("pathreuse=%v/branchless=%v/mergeapply=%v/gapped=%v",
-		!c.NoPathReuse, !c.NoBranchlessSearch, !c.NoMergeApply, !c.NoGappedLayout)
-}
 
 // TestFinderMatchesFreshDescent is the path-reuse property test: over
 // random tree shapes (empty root-leaf, single-leaf, serially grown,
@@ -213,127 +193,112 @@ func TestMergeApplyValidates(t *testing.T) {
 	}
 }
 
-// TestKernelAblationMatrix runs the oracle differential over all 2³
-// kernel flag combinations — results and final stores must be identical
-// regardless of which kernels are enabled.
+// kernelsOn names the one kernel configuration the tree has: path reuse,
+// branchless search and merge application on, gapped node layout. The
+// kernel tests keep it as their subtest name from when they ran a 2^4
+// matrix of kernel toggles.
+const kernelsOn = "pathreuse=true/branchless=true/mergeapply=true/gapped=true"
+
+// TestKernelAblationMatrix runs the sorted-batch kernels (path reuse,
+// gap claiming, the mutation-dense merge handoff) through the oracle
+// differential on a small-order tree with frequent splits and merges.
 func TestKernelAblationMatrix(t *testing.T) {
-	for _, combo := range kernelCombos() {
-		combo := combo
-		t.Run(comboName(combo), func(t *testing.T) {
-			cfg := combo
-			cfg.Order = 4
-			cfg.Workers = 4
-			cfg.LoadBalance = true
-			r := rand.New(rand.NewSource(77))
-			runDifferential(t, cfg, randomBatches(r, 3, 1500, 300, 0.5))
-		})
-	}
+	t.Run(kernelsOn, func(t *testing.T) {
+		r := rand.New(rand.NewSource(77))
+		runDifferential(t, Config{Order: 4, Workers: 4, LoadBalance: true}, randomBatches(r, 3, 1500, 300, 0.5))
+	})
 }
 
 // TestKernelAblationTransformed exercises the QTrans-shaped entry points
-// (ProcessTransformed, FindAndAnswerSearches) under every kernel combo.
+// (ProcessTransformed, FindAndAnswerSearches) against the oracle.
 func TestKernelAblationTransformed(t *testing.T) {
-	for _, combo := range kernelCombos() {
-		combo := combo
-		t.Run(comboName(combo), func(t *testing.T) {
-			cfg := combo
-			cfg.Order = 4
-			cfg.Workers = 4
-			cfg.LoadBalance = true
-			p, err := New(cfg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p.Close()
-			o := oracle.New()
-			r := rand.New(rand.NewSource(13))
+	t.Run(kernelsOn, func(t *testing.T) {
+		p, err := New(Config{Order: 4, Workers: 4, LoadBalance: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		o := oracle.New()
+		r := rand.New(rand.NewSource(13))
 
-			for b := 0; b < 5; b++ {
-				// A QTrans-reduced batch: per distinct key at most one
-				// representative search, preceding the key's defining
-				// queries; keys ascending (stable key-sorted by build).
-				var batch []keys.Query
-				for k := keys.Key(0); k < 400; k += keys.Key(1 + r.Intn(3)) {
-					if r.Intn(3) == 0 {
-						batch = append(batch, keys.Search(k))
-					}
-					for d := r.Intn(3); d > 0; d-- {
-						if r.Intn(2) == 0 {
-							batch = append(batch, keys.Insert(k, keys.Value(r.Uint64())))
-						} else {
-							batch = append(batch, keys.Delete(k))
-						}
-					}
+		for b := 0; b < 5; b++ {
+			// A QTrans-reduced batch: per distinct key at most one
+			// representative search, preceding the key's defining
+			// queries; keys ascending (stable key-sorted by build).
+			var batch []keys.Query
+			for k := keys.Key(0); k < 400; k += keys.Key(1 + r.Intn(3)) {
+				if r.Intn(3) == 0 {
+					batch = append(batch, keys.Search(k))
 				}
-				keys.Number(batch)
-				want := keys.NewResultSet(len(batch))
-				o.ApplyAll(batch, want)
-				got := keys.NewResultSet(len(batch))
-				p.ProcessTransformed(batch, got)
-				for i := int32(0); i < int32(len(batch)); i++ {
-					w, wok := want.Get(i)
-					g, gok := got.Get(i)
-					if wok != gok || w != g {
-						t.Fatalf("batch %d query %d: %+v (%v) vs %+v (%v)", b, i, g, gok, w, wok)
+				for d := r.Intn(3); d > 0; d-- {
+					if r.Intn(2) == 0 {
+						batch = append(batch, keys.Insert(k, keys.Value(r.Uint64())))
+					} else {
+						batch = append(batch, keys.Delete(k))
 					}
-				}
-				if err := p.Tree().Validate(btree.RelaxedFill); err != nil {
-					t.Fatalf("batch %d: %v", b, err)
 				}
 			}
-
-			// Search-only fast path against the final store.
-			qs := make([]keys.Query, 600)
-			for i := range qs {
-				qs[i] = keys.Search(keys.Key(r.Intn(420)))
-			}
-			keys.Number(qs)
-			keys.SortByKey(qs)
-			want := keys.NewResultSet(len(qs))
-			o.ApplyAll(qs, want)
-			got := keys.NewResultSet(len(qs))
-			p.FindAndAnswerSearches(qs, got)
-			for i := int32(0); i < int32(len(qs)); i++ {
+			keys.Number(batch)
+			want := keys.NewResultSet(len(batch))
+			o.ApplyAll(batch, want)
+			got := keys.NewResultSet(len(batch))
+			p.ProcessTransformed(batch, got)
+			for i := int32(0); i < int32(len(batch)); i++ {
 				w, wok := want.Get(i)
 				g, gok := got.Get(i)
 				if wok != gok || w != g {
-					t.Fatalf("fast path query %d: %+v (%v) vs %+v (%v)", i, g, gok, w, wok)
+					t.Fatalf("batch %d query %d: %+v (%v) vs %+v (%v)", b, i, g, gok, w, wok)
 				}
 			}
+			if err := p.Tree().Validate(btree.RelaxedFill); err != nil {
+				t.Fatalf("batch %d: %v", b, err)
+			}
+		}
 
-			gk, gv := p.Tree().Dump()
-			wk, wv := o.Dump()
-			if len(gk) != len(wk) {
-				t.Fatalf("dump %d vs %d entries", len(gk), len(wk))
+		// Search-only fast path against the final store.
+		qs := make([]keys.Query, 600)
+		for i := range qs {
+			qs[i] = keys.Search(keys.Key(r.Intn(420)))
+		}
+		keys.Number(qs)
+		keys.SortByKey(qs)
+		want := keys.NewResultSet(len(qs))
+		o.ApplyAll(qs, want)
+		got := keys.NewResultSet(len(qs))
+		p.FindAndAnswerSearches(qs, got)
+		for i := int32(0); i < int32(len(qs)); i++ {
+			w, wok := want.Get(i)
+			g, gok := got.Get(i)
+			if wok != gok || w != g {
+				t.Fatalf("fast path query %d: %+v (%v) vs %+v (%v)", i, g, gok, w, wok)
 			}
-			for i := range gk {
-				if gk[i] != wk[i] || gv[i] != wv[i] {
-					t.Fatalf("dump mismatch at %d", i)
-				}
+		}
+
+		gk, gv := p.Tree().Dump()
+		wk, wv := o.Dump()
+		if len(gk) != len(wk) {
+			t.Fatalf("dump %d vs %d entries", len(gk), len(wk))
+		}
+		for i := range gk {
+			if gk[i] != wk[i] || gv[i] != wv[i] {
+				t.Fatalf("dump mismatch at %d", i)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestFenceHitsCounted checks the path-reuse stat: a dense pre-sorted
-// batch against a deep tree must resolve mostly by fence checks, and
-// disabling the kernel must zero the counter.
+// batch against a deep tree must resolve mostly by fence checks.
 func TestFenceHitsCounted(t *testing.T) {
-	build := func(cfg Config) *Processor {
-		cfg.Order = 4
-		cfg.Workers = 1
-		p, _ := New(cfg, nil)
-		n := 4000
-		seed := make([]keys.Query, n)
-		for i := range seed {
-			seed[i] = keys.Insert(keys.Key(i), keys.Value(i))
-		}
-		p.ProcessBatch(keys.Number(seed), keys.NewResultSet(n))
-		return p
-	}
-
-	p := build(Config{})
+	p, _ := New(Config{Order: 4, Workers: 1}, nil)
 	defer p.Close()
+	n := 4000
+	seed := make([]keys.Query, n)
+	for i := range seed {
+		seed[i] = keys.Insert(keys.Key(i), keys.Value(i))
+	}
+	p.ProcessBatch(keys.Number(seed), keys.NewResultSet(n))
+
 	// Stride-1 searches guarantee consecutive queries share a leaf for
 	// any leaf fill >= 2, independent of the layout's split target.
 	batch := make([]keys.Query, 2000)
@@ -344,16 +309,5 @@ func TestFenceHitsCounted(t *testing.T) {
 	p.ProcessBatchSorted(batch, keys.NewResultSet(len(batch)))
 	if p.Stats().FenceHits == 0 {
 		t.Fatal("dense sorted batch recorded no fence hits")
-	}
-
-	off := build(Config{NoPathReuse: true})
-	defer off.Close()
-	for i := range batch {
-		batch[i] = keys.Search(keys.Key(i))
-	}
-	keys.Number(batch)
-	off.ProcessBatchSorted(batch, keys.NewResultSet(len(batch)))
-	if off.Stats().FenceHits != 0 {
-		t.Fatalf("NoPathReuse recorded %d fence hits", off.Stats().FenceHits)
 	}
 }

@@ -381,39 +381,6 @@ func TestDifferentialProperty(t *testing.T) {
 	}
 }
 
-func TestSplitLeafMulti(t *testing.T) {
-	leaf := &btree.Node{}
-	for i := 0; i < 25; i++ {
-		leaf.Keys = append(leaf.Keys, keys.Key(i))
-		leaf.Vals = append(leaf.Vals, keys.Value(i))
-	}
-	tail := &btree.Node{Keys: []keys.Key{100}, Vals: []keys.Value{100}}
-	leaf.Next = tail
-	pieces := splitLeafMulti(leaf, 7)
-	if len(pieces) != 4 { // ceil(25/7)
-		t.Fatalf("pieces = %d, want 4", len(pieces))
-	}
-	if pieces[0] != leaf {
-		t.Fatal("first piece must reuse the original node")
-	}
-	// Chain and contents.
-	var got []keys.Key
-	for n := pieces[0]; n != tail; n = n.Next {
-		if len(n.Keys) > 7 || len(n.Keys) == 0 {
-			t.Fatalf("piece size %d out of range", len(n.Keys))
-		}
-		got = append(got, n.Keys...)
-	}
-	if len(got) != 25 {
-		t.Fatalf("total keys %d, want 25", len(got))
-	}
-	for i, k := range got {
-		if k != keys.Key(i) {
-			t.Fatalf("keys out of order: %v", got)
-		}
-	}
-}
-
 func TestAssignGroupsCoversAllGroups(t *testing.T) {
 	p, _ := New(Config{Order: 8, Workers: 4, LoadBalance: true}, nil)
 	defer p.Close()

@@ -7,41 +7,12 @@ import (
 	"repro/internal/keys"
 )
 
-func TestRebuildSeps(t *testing.T) {
-	l1 := &btree.Node{Keys: []keys.Key{1, 2}, Vals: []keys.Value{1, 2}}
-	l2 := &btree.Node{Keys: []keys.Key{5, 6}, Vals: []keys.Value{5, 6}}
-	l3 := &btree.Node{Keys: []keys.Key{9}, Vals: []keys.Value{9}}
-	seps := rebuildSeps(nil, []*btree.Node{l1, l2, l3})
-	if len(seps) != 2 || seps[0] != 5 || seps[1] != 9 {
-		t.Fatalf("seps = %v, want [5 9]", seps)
-	}
-}
-
-func TestRebuildSepsDeepSubtree(t *testing.T) {
-	leaf := &btree.Node{Keys: []keys.Key{42}, Vals: []keys.Value{42}}
-	inner := &btree.Node{Keys: []keys.Key{50}, Children: []*btree.Node{leaf, {Keys: []keys.Key{60}, Vals: []keys.Value{60}}}}
-	first := &btree.Node{Keys: []keys.Key{1}, Vals: []keys.Value{1}}
-	seps := rebuildSeps(nil, []*btree.Node{first, inner})
-	if len(seps) != 1 || seps[0] != 42 {
-		t.Fatalf("seps = %v, want [42] (min of deep subtree)", seps)
-	}
-}
-
-func TestMinKey(t *testing.T) {
-	leaf := &btree.Node{Keys: []keys.Key{7, 9}, Vals: []keys.Value{7, 9}}
-	if got := minKey(leaf); got != 7 {
-		t.Fatalf("minKey(leaf) = %d", got)
-	}
-	root := &btree.Node{
-		Keys: []keys.Key{100},
-		Children: []*btree.Node{
-			{Keys: []keys.Key{50}, Children: []*btree.Node{leaf, {Keys: []keys.Key{60}, Vals: []keys.Value{60}}}},
-			{Keys: []keys.Key{200}, Vals: []keys.Value{200}},
-		},
-	}
-	if got := minKey(root); got != 7 {
-		t.Fatalf("minKey(root) = %d", got)
-	}
+// packedLeaf builds a leaf for a tree of the given order holding the
+// sorted pairs ks/vs.
+func packedLeaf(order int, ks []keys.Key, vs []keys.Value) *btree.Node {
+	n := btree.NewGappedLeaf(order - 1)
+	btree.PackLeafGapped(n, ks, vs)
+	return n
 }
 
 func TestSplitInternalMulti(t *testing.T) {
@@ -49,10 +20,10 @@ func TestSplitInternalMulti(t *testing.T) {
 	// balanced pieces reusing the original node as piece 0.
 	children := make([]*btree.Node, 10)
 	for i := range children {
-		children[i] = &btree.Node{Keys: []keys.Key{keys.Key(i * 10)}, Vals: []keys.Value{0}}
+		children[i] = packedLeaf(4, []keys.Key{keys.Key(i * 10)}, []keys.Value{0})
 	}
 	n := &btree.Node{Children: append([]*btree.Node(nil), children...)}
-	n.Keys = rebuildSeps(nil, n.Children)
+	btree.PackInternalGapped(n, 4)
 
 	pieces := splitInternalMulti(n, 4)
 	if len(pieces) != 3 {
@@ -67,8 +38,13 @@ func TestSplitInternalMulti(t *testing.T) {
 		if len(p.Children) > 4 || len(p.Children) == 0 {
 			t.Fatalf("piece has %d children", len(p.Children))
 		}
-		if len(p.Keys) != len(p.Children)-1 {
-			t.Fatalf("piece has %d keys for %d children", len(p.Keys), len(p.Children))
+		if p.Len() != len(p.Children)-1 {
+			t.Fatalf("piece has %d keys for %d children", p.Len(), len(p.Children))
+		}
+		for i := 1; i < len(p.Children); i++ {
+			if p.Keys[i-1] != p.Children[i].Keys[p.Children[i].FirstSlot()] {
+				t.Fatalf("separator %d = %d, want child minimum", i-1, p.Keys[i-1])
+			}
 		}
 		total += len(p.Children)
 		all = append(all, p.Children...)
@@ -86,7 +62,7 @@ func TestSplitInternalMulti(t *testing.T) {
 func TestFinalizeRootSingleReplacement(t *testing.T) {
 	p, _ := New(Config{Order: 4, Workers: 1}, nil)
 	defer p.Close()
-	leaf := &btree.Node{Keys: []keys.Key{1}, Vals: []keys.Value{1}}
+	leaf := packedLeaf(4, []keys.Key{1}, []keys.Value{1})
 	p.finalizeRoot(&modRequest{repl: []*btree.Node{leaf}})
 	if p.Tree().Root() != leaf {
 		t.Fatal("single replacement must become the root")
@@ -99,7 +75,7 @@ func TestFinalizeRootMultiLevelGrowth(t *testing.T) {
 	// 10 leaf pieces at order 3 require two new internal levels.
 	pieces := make([]*btree.Node, 10)
 	for i := range pieces {
-		pieces[i] = &btree.Node{Keys: []keys.Key{keys.Key(i * 5)}, Vals: []keys.Value{keys.Value(i)}}
+		pieces[i] = packedLeaf(3, []keys.Key{keys.Key(i * 5)}, []keys.Value{keys.Value(i)})
 		if i > 0 {
 			pieces[i-1].Next = pieces[i]
 		}

@@ -12,9 +12,9 @@ import (
 // partitioned across workers, each worker locates its first scan's
 // leaf with the path-reuse finder (ascending lower bounds keep the
 // descent cheap, exactly like the sorted-run point FIND) and then
-// walks the leaf chain collecting rows. Gapped-layout leaves are
-// iterated via the occupancy accessors, so gap and sentinel slots
-// never appear in scan output; dense leaves iterate every slot.
+// walks the leaf chain collecting rows. Leaves are iterated via the
+// occupancy accessors, so gap and sentinel slots never appear in scan
+// output.
 //
 // All scans in a group must observe the same tree state: the engine
 // calls EvalScans between point epochs, with the tree quiescent. The

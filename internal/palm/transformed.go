@@ -67,7 +67,7 @@ func (p *Processor) findAndAnswer(qs []keys.Query, rs *keys.ResultSet) bool {
 				leaf = w.finder.find(qs[i].Key)
 			}
 			if qs[i].Op == keys.OpSearch && !qs[i].LeafAnswer {
-				v, ok := p.probeLeaf(leaf, qs[i].Key)
+				v, ok := btree.LeafFind(leaf, qs[i].Key)
 				rs.Set(qs[i].Idx, v, ok)
 				w.leafOps++
 				continue

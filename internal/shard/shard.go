@@ -94,16 +94,6 @@ type Engine struct {
 	gate      *sync.RWMutex
 }
 
-// engineLayout derives the node layout a shard's trees should be bulk
-// loaded with, so per-shard trees match the layout the engines would
-// pick themselves and NewEngineWithTree does not rebuild them.
-func engineLayout(cfg core.EngineConfig) btree.Layout {
-	if cfg.Palm.NoGappedLayout {
-		return btree.LayoutDense
-	}
-	return btree.LayoutGapped
-}
-
 // New builds a sharded engine of cfg.Shards partitions.
 func New(cfg Config) (*Engine, error) {
 	n := cfg.Shards
@@ -161,7 +151,7 @@ func NewFromTree(cfg Config, tree *btree.Tree) (*Engine, error) {
 		if i < n-1 {
 			hi = lowerBound(ks, bounds[i], lo)
 		}
-		sub, err := btree.BulkLoadLayout(order, engineLayout(cfg.Engine), ks[lo:hi], vs[lo:hi])
+		sub, err := btree.BulkLoad(order, ks[lo:hi], vs[lo:hi])
 		if err != nil {
 			e.Close()
 			return nil, fmt.Errorf("shard %d: %w", i, err)

@@ -92,7 +92,7 @@ func openDurable(opts Options) (*DB, error) {
 				return nil, fmt.Errorf("qtrans: corrupt tiered snapshot in %s: %w", opts.Durability.Dir, err)
 			}
 		}
-		tree, err = btree.LoadLayout(bytes.NewReader(treeBytes), opts.Order, opts.layout())
+		tree, err = btree.Load(bytes.NewReader(treeBytes), opts.Order)
 		if err != nil {
 			return nil, fmt.Errorf("qtrans: corrupt snapshot in %s: %w", opts.Durability.Dir, err)
 		}
@@ -240,7 +240,7 @@ func (db *DB) saveTieredLocked(w io.Writer) error {
 	var tree bytes.Buffer
 	if db.sharded != nil {
 		ks, vs := db.sharded.Dump()
-		t, err := btree.BulkLoadLayout(db.sharded.Order(), db.layout, ks, vs)
+		t, err := btree.BulkLoad(db.sharded.Order(), ks, vs)
 		if err != nil {
 			return err
 		}

@@ -147,26 +147,6 @@ type Options struct {
 	// fill. Nil (the zero value) keeps every hot path identical to the
 	// uninstrumented build — same results, zero extra allocations.
 	Metrics *Metrics
-
-	// Sorted-batch tree kernel ablations (DESIGN.md §8). The zero value
-	// keeps all three kernels on; each flag disables one, restoring the
-	// pre-kernel code path — results are identical either way.
-
-	// NoPathReuse disables the path-reuse descent of the leaf-search
-	// stage (every query re-descends from the root).
-	NoPathReuse bool
-	// NoBranchlessSearch replaces the branchless intra-node search
-	// kernels with closure-based binary search.
-	NoBranchlessSearch bool
-	// NoMergeApply disables the merge-based leaf application (queries
-	// are applied to leaves one at a time).
-	NoMergeApply bool
-	// NoGappedLayout stores tree nodes in the classic dense layout
-	// instead of the default gapped (BS-tree style) layout, in which
-	// nodes keep a fixed-width key array with sentinel-filled gaps so
-	// intra-node search is branchless and inserts claim gaps instead of
-	// shifting (DESIGN.md §10). Results are identical either way.
-	NoGappedLayout bool
 }
 
 // Autoshard configures traffic-aware automatic resharding (see
@@ -264,14 +244,6 @@ func (a Autoshard) shardConfig() shard.AutoshardConfig {
 	}
 }
 
-// layout translates the ablation flag to the tree-level layout choice.
-func (opts Options) layout() btree.Layout {
-	if opts.NoGappedLayout {
-		return btree.LayoutDense
-	}
-	return btree.LayoutGapped
-}
-
 // engineConfig translates Options to the per-engine configuration
 // (for a sharded DB this is each shard's config; Workers is then a
 // per-shard thread count).
@@ -283,13 +255,9 @@ func (opts Options) engineConfig() core.EngineConfig {
 	return core.EngineConfig{
 		Mode: opts.Optimization.mode(),
 		Palm: palm.Config{
-			Order:              opts.Order,
-			Workers:            opts.Workers,
-			LoadBalance:        true,
-			NoPathReuse:        opts.NoPathReuse,
-			NoBranchlessSearch: opts.NoBranchlessSearch,
-			NoMergeApply:       opts.NoMergeApply,
-			NoGappedLayout:     opts.NoGappedLayout,
+			Order:       opts.Order,
+			Workers:     opts.Workers,
+			LoadBalance: true,
 		},
 		CacheCapacity: capacity,
 		CachePolicy:   cache.LRU,
@@ -316,7 +284,6 @@ type DB struct {
 	single    *core.Engine  // non-nil when Shards <= 1
 	sharded   *shard.Engine // non-nil when Shards > 1
 	pipelined bool
-	layout    btree.Layout // node layout from Options (for snapshots)
 	// tier is the cold-store wrapper (nil when Options.Tiered is off;
 	// when non-nil it is also eng).
 	tier *tier.Engine
@@ -381,7 +348,7 @@ func (db *DB) wireTier(opts Options, wipe bool) error {
 // build constructs the engine stack for opts — sharded or single,
 // over a restored tree or fresh — and installs the snapshot gate.
 func build(opts Options, tree *btree.Tree) (*DB, error) {
-	db := &DB{pipelined: opts.Pipeline, layout: opts.layout(), met: opts.Metrics}
+	db := &DB{pipelined: opts.Pipeline, met: opts.Metrics}
 	if opts.Shards > 1 {
 		cfg := shard.Config{
 			Shards:    opts.Shards,
@@ -688,7 +655,7 @@ func (db *DB) saveLocked(w io.Writer) error {
 			return err
 		}
 		order := db.order()
-		tree, err := btree.BulkLoadLayout(order, db.layout, ks, vs)
+		tree, err := btree.BulkLoad(order, ks, vs)
 		if err != nil {
 			return err
 		}
@@ -696,7 +663,7 @@ func (db *DB) saveLocked(w io.Writer) error {
 	}
 	if db.sharded != nil {
 		ks, vs := db.sharded.Dump()
-		tree, err := btree.BulkLoadLayout(db.sharded.Order(), db.layout, ks, vs)
+		tree, err := btree.BulkLoad(db.sharded.Order(), ks, vs)
 		if err != nil {
 			return err
 		}
@@ -715,7 +682,7 @@ func Load(r io.Reader, opts Options) (*DB, error) {
 	if opts.Durability.Dir != "" {
 		return nil, fmt.Errorf("qtrans: Load does not take Options.Durability; Open recovers a durable directory")
 	}
-	tree, err := btree.LoadLayout(r, opts.Order, opts.layout())
+	tree, err := btree.Load(r, opts.Order)
 	if err != nil {
 		return nil, err
 	}

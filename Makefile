@@ -17,9 +17,10 @@
 #                split/merge, facade scans) under the race detector
 #   race-tiered  the cold-range tier store (DESIGN.md §14) under the
 #                race detector: the run/residency unit tests, the tier
-#                engine's demotion/promotion/fault paths, and the
+#                engine's demotion/promotion/fault paths, the
 #                facade-level tiered integration tests (checkpoint,
-#                snapshot portability, lost-tier-dir recovery)
+#                snapshot portability, lost-tier-dir recovery), and the
+#                harness's tiered sharded and streamed runs
 #   fuzz-smoke   10s runs of the shard differential fuzzer (the
 #                sharded/serial equivalence property of DESIGN.md §6,
 #                including scan/RMW arms), the
@@ -42,12 +43,15 @@
 #   bench-smoke  one-iteration compile-and-run of the pipeline benchmark
 #                plus a tiny tiered-experiment run (catches bit-rot in
 #                the bench harnesses without paying for a measurement)
+#   perfbench-smoke  the tests of the benchmark program (perfbench/ is
+#                its own Go module, so `go test ./...` at the root never
+#                compiles it; this catches a facade change that breaks it)
 
 GO ?= go
 
-.PHONY: ci vet build test race race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke bench bench-scan bench-serve bench-autoshard bench-tiered
+.PHONY: ci vet build test race race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke perfbench-smoke bench bench-scan bench-serve bench-autoshard bench-tiered
 
-ci: vet build test race race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke
+ci: vet build test race race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke perfbench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -85,11 +89,13 @@ race-server:
 # Cold-range tiering (DESIGN.md §14) under the race detector: the full
 # tier package (run/residency formats, store demotion/promotion, the
 # wrapping engine's cold-search faulting), plus the facade-level tiered
-# integration tests. Also part of the plain `race` target's ./qtrans
-# run; kept callable on its own for tier work.
+# integration tests and the harness's tiered sharded and streamed runs.
+# Also part of the plain `race` target's ./qtrans run; kept callable on
+# its own for tier work.
 race-tiered:
 	$(GO) test -race -count=1 ./internal/tier
 	$(GO) test -race -run 'Tiered' -count=1 ./qtrans
+	$(GO) test -race -run 'Tiered' -count=1 ./internal/harness
 
 # Traffic-aware autosharding (DESIGN.md §13) under the race detector:
 # the controller policy tests (split/merge/hysteresis/boundary moves),
@@ -112,6 +118,9 @@ bench-smoke:
 	$(GO) test -run=XXX -bench=BenchmarkPipeline -benchtime=1x .
 	$(GO) test -run=XXX -bench=BenchmarkDurability -benchtime=1x ./qtrans
 	$(GO) run ./cmd/qtransbench -experiment tiered -scale 0.0002 -batches 2 -workers 2
+
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # Full benchmark sweep with allocation reporting (not part of ci).
 bench:

@@ -45,7 +45,7 @@ func run(args []string) error {
 		shards  = fs.Int("shards", 1, "range-partitioned shard count (>1 splits the worker budget across shards)")
 		rebal   = fs.Int("rebalance", 0, "rebalance shard boundaries every N batches (0 = never; needs -shards > 1)")
 		auto    = fs.Bool("autoshard", false, "traffic-aware automatic resharding: one controller step per batch (needs -shards > 1)")
-		tiered  = fs.Bool("tiered", false, "cold-range tiering: spill cold key ranges to runs in a temp directory, bounding resident keys (needs -shards = 1)")
+		tiered  = fs.Bool("tiered", false, "cold-range tiering: spill cold key ranges to runs in a temp directory, bounding resident keys")
 		tierBud = fs.Int("tiered-budget", 0, "tiered resident key budget (0 = a quarter of the keys stored after prefill)")
 
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address during the run (e.g. :9100); also prints the final metrics table")
@@ -76,9 +76,6 @@ func run(args []string) error {
 	}
 	if *auto && *shards <= 1 {
 		return fmt.Errorf("-autoshard needs -shards > 1")
-	}
-	if *tiered && *shards > 1 {
-		return fmt.Errorf("-tiered needs -shards = 1")
 	}
 	if *tierBud < 0 {
 		return fmt.Errorf("-tiered-budget %d must be >= 0", *tierBud)
@@ -126,12 +123,7 @@ func run(args []string) error {
 		if !ok {
 			return fmt.Errorf("unknown mode %q (want org, intra, inter, sim)", name)
 		}
-		var res *harness.Result
-		if *shards > 1 {
-			res, err = rn.RunShardOne(spec, mode, *u, *shards, 0, *rebal)
-		} else {
-			res, err = rn.RunOne(spec, mode, *u, 0, 0)
-		}
+		res, err := rn.RunOne(harness.Arm{Spec: spec, Mode: mode, UpdateRatio: *u, Shards: *shards, RebalanceEvery: *rebal})
 		if err != nil {
 			return err
 		}
@@ -147,7 +139,7 @@ func run(args []string) error {
 			fmt.Printf(" tier: resident=%d cold=%d runs=%d disk_kb=%d faults=%d promotions=%d demotions=%d",
 				ts.ResidentKeys, ts.ColdKeys, ts.ColdRanges, ts.DiskBytes/1024, ts.Faults, ts.Promotions, ts.Demotions)
 		}
-		if res.ShardStats != nil {
+		if *shards > 1 {
 			fmt.Printf(" %s", res.ShardStats)
 		} else {
 			allocs, bytes := res.Mem.PerBatch(res.Batches)

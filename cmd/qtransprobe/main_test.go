@@ -9,6 +9,13 @@ func TestRunTinyProbe(t *testing.T) {
 	}
 }
 
+// TestRunTieredSharded checks that -tiered composes with -shards > 1.
+func TestRunTieredSharded(t *testing.T) {
+	if err := run([]string{"-shards", "2", "-tiered", "-scale", "0.0002", "-batches", "2"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunUnknownDataset(t *testing.T) {
 	if err := run([]string{"-dataset", "nope", "-scale", "0.0002"}); err == nil {
 		t.Fatal("unknown dataset accepted")

@@ -133,11 +133,11 @@ func ThroughputFigure(rn *Runner, w io.Writer, dataset string) error {
 	}
 	row(w, "update_ratio", "org_qps", "opt_qps", "speedup", "reduction")
 	for _, u := range UpdateRatios {
-		org, err := rn.RunOne(spec, core.Original, u, 0, 0)
+		org, err := rn.RunOne(Arm{Spec: spec, Mode: core.Original, UpdateRatio: u})
 		if err != nil {
 			return err
 		}
-		opt, err := rn.RunOne(spec, core.IntraInter, u, 0, 0)
+		opt, err := rn.RunOne(Arm{Spec: spec, Mode: core.IntraInter, UpdateRatio: u})
 		if err != nil {
 			return err
 		}
@@ -156,7 +156,7 @@ func ScalabilityFigure(rn *Runner, w io.Writer, dataset string) error {
 	row(w, "threads", "update_ratio", "opt_qps")
 	for _, th := range ThreadCounts(rn.Opts.Workers) {
 		for _, u := range UpdateRatios {
-			opt, err := rn.RunOne(spec, core.IntraInter, u, th, 0)
+			opt, err := rn.RunOne(Arm{Spec: spec, Mode: core.IntraInter, UpdateRatio: u, Threads: th})
 			if err != nil {
 				return err
 			}
@@ -175,7 +175,7 @@ func Fig13(rn *Runner, w io.Writer) error {
 	}
 	row(w, "balancing", "thread", "leaf_ops")
 	for _, lb := range []bool{true, false} {
-		res, err := rn.runWithBalance(spec, 0.25, lb)
+		res, err := rn.RunOne(Arm{Spec: spec, Mode: core.IntraInter, UpdateRatio: 0.25, NaiveBalance: !lb})
 		if err != nil {
 			return err
 		}
@@ -191,11 +191,6 @@ func Fig13(rn *Runner, w io.Writer) error {
 	return nil
 }
 
-// runWithBalance is RunOne with an explicit LoadBalance setting.
-func (rn *Runner) runWithBalance(spec workload.Spec, u float64, lb bool) (*Result, error) {
-	return rn.runCustom(spec, core.IntraInter, u, rn.Opts.Workers, spec.BatchSize, lb)
-}
-
 // Fig14a: throughput of org / intra / inter per update ratio.
 func Fig14a(rn *Runner, w io.Writer) error {
 	spec, err := workload.SpecByName("self-similar", rn.Opts.Scale)
@@ -206,7 +201,7 @@ func Fig14a(rn *Runner, w io.Writer) error {
 	for _, u := range UpdateRatios {
 		var qps [3]float64
 		for i, mode := range []core.Mode{core.Original, core.Intra, core.IntraInter} {
-			res, err := rn.RunOne(spec, mode, u, 0, 0)
+			res, err := rn.RunOne(Arm{Spec: spec, Mode: mode, UpdateRatio: u})
 			if err != nil {
 				return err
 			}
@@ -225,11 +220,11 @@ func Fig14b(rn *Runner, w io.Writer) error {
 	}
 	row(w, "update_ratio", "intra_reduction", "inter_reduction")
 	for _, u := range UpdateRatios {
-		intra, err := rn.RunOne(spec, core.Intra, u, 0, 0)
+		intra, err := rn.RunOne(Arm{Spec: spec, Mode: core.Intra, UpdateRatio: u})
 		if err != nil {
 			return err
 		}
-		inter, err := rn.RunOne(spec, core.IntraInter, u, 0, 0)
+		inter, err := rn.RunOne(Arm{Spec: spec, Mode: core.IntraInter, UpdateRatio: u})
 		if err != nil {
 			return err
 		}
@@ -251,7 +246,7 @@ func Fig14c(rn *Runner, w io.Writer) error {
 	row(w, header...)
 	for _, u := range UpdateRatios {
 		for _, mode := range []core.Mode{core.Original, core.Intra, core.IntraInter} {
-			res, err := rn.RunOne(spec, mode, u, 0, 0)
+			res, err := rn.RunOne(Arm{Spec: spec, Mode: mode, UpdateRatio: u})
 			if err != nil {
 				return err
 			}
@@ -281,7 +276,7 @@ func Fig15(rn *Runner, w io.Writer) error {
 	for _, bs := range sizes {
 		var qps [3]float64
 		for i, mode := range []core.Mode{core.Original, core.Intra, core.IntraInter} {
-			res, err := rn.RunOne(spec, mode, 0.25, 0, bs)
+			res, err := rn.RunOne(Arm{Spec: spec, Mode: mode, UpdateRatio: 0.25, BatchSize: bs})
 			if err != nil {
 				return err
 			}
@@ -313,7 +308,7 @@ func Ablation1(rn *Runner, w io.Writer) error {
 	for _, u := range UpdateRatios {
 		var qps [4]float64
 		for i, mode := range []core.Mode{core.Original, core.Intra, core.IntraInter, core.SimIntra} {
-			res, err := rn.RunOne(spec, mode, u, 0, 0)
+			res, err := rn.RunOne(Arm{Spec: spec, Mode: mode, UpdateRatio: u})
 			if err != nil {
 				return err
 			}
@@ -340,11 +335,13 @@ func PipelineExp(rn *Runner, w io.Writer) error {
 	row(w, "batch_size", "mode", "serial_qps", "pipe_qps", "speedup", "serial_allocs/batch", "pipe_allocs/batch")
 	for _, bs := range sizes {
 		for _, mode := range []core.Mode{core.Original, core.IntraInter} {
-			ser, err := rn.RunStreamOne(spec, mode, 0.25, false, bs)
+			arm := Arm{Spec: spec, Mode: mode, UpdateRatio: 0.25, BatchSize: bs, Stream: true}
+			ser, err := rn.RunOne(arm)
 			if err != nil {
 				return err
 			}
-			pipe, err := rn.RunStreamOne(spec, mode, 0.25, true, bs)
+			arm.Pipeline = true
+			pipe, err := rn.RunOne(arm)
 			if err != nil {
 				return err
 			}
@@ -378,7 +375,7 @@ func ShardExp(rn *Runner, w io.Writer) error {
 				if shards == 1 && rebalanceEvery > 0 {
 					continue // single shard: nothing to re-split
 				}
-				res, err := rn.RunShardOne(spec, core.IntraInter, 0.25, shards, 0, rebalanceEvery)
+				res, err := rn.RunOne(Arm{Spec: spec, Mode: core.IntraInter, UpdateRatio: 0.25, Shards: shards, RebalanceEvery: rebalanceEvery})
 				if err != nil {
 					return err
 				}
@@ -460,12 +457,7 @@ func ScanExp(rn *Runner, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	eng, err := core.NewEngine(core.EngineConfig{
-		Mode:          core.IntraInter,
-		Palm:          o.palmConfig(o.Workers, true),
-		CacheCapacity: o.CacheCapacity,
-		Metrics:       o.Metrics,
-	})
+	eng, err := newStack(rn.stackConfig(Arm{Mode: core.IntraInter}))
 	if err != nil {
 		return err
 	}
@@ -473,17 +465,7 @@ func ScanExp(rn *Runner, w io.Writer) error {
 
 	gen := spec.Build()
 	r := rand.New(rand.NewSource(o.Seed))
-	prefill := workload.Prefill(gen, r, spec.UniqueKeys)
-	rs := keys.NewResultSet(spec.BatchSize)
-	for lo := 0; lo < len(prefill); lo += spec.BatchSize {
-		hi := lo + spec.BatchSize
-		if hi > len(prefill) {
-			hi = len(prefill)
-		}
-		chunk := keys.Number(prefill[lo:hi])
-		rs.Reset(len(chunk))
-		eng.ProcessBatch(chunk, rs)
-	}
+	eng.load(workload.Prefill(gen, r, spec.UniqueKeys), spec.BatchSize)
 
 	rounds := 4
 	if o.Batches > 0 && o.Batches < rounds {
@@ -638,7 +620,7 @@ func MetricsExp(rn *Runner, w io.Writer) error {
 		reg := metrics.New()
 		arm := *rn
 		arm.Opts.Metrics = reg
-		if _, err := arm.RunOne(spec, mode, 0.25, 0, 0); err != nil {
+		if _, err := arm.RunOne(Arm{Spec: spec, Mode: mode, UpdateRatio: 0.25}); err != nil {
 			return err
 		}
 		snap := reg.Snapshot()
@@ -691,7 +673,7 @@ func Table2(rn *Runner, w io.Writer) error {
 	row(w, "dataset", "batch_size", "opt_U0_ms", "opt_U75_ms", "org_U0_ms", "org_U75_ms")
 	for _, sp := range workload.Specs(rn.Opts.Scale) {
 		lat := func(mode core.Mode, u float64) (float64, error) {
-			res, err := rn.RunOne(sp, mode, u, 0, 0)
+			res, err := rn.RunOne(Arm{Spec: sp, Mode: mode, UpdateRatio: u})
 			if err != nil {
 				return 0, err
 			}
@@ -754,10 +736,6 @@ func AutoshardExp(rn *Runner, w io.Writer) error {
 	if o.Batches > 0 && nBatches > o.Batches {
 		nBatches = o.Batches
 	}
-	perShard := o.Workers / 4
-	if perShard < 1 {
-		perShard = 1
-	}
 
 	type armResult struct {
 		shards   int
@@ -775,20 +753,15 @@ func AutoshardExp(rn *Runner, w io.Writer) error {
 			VelocityMilli: 15,
 			HotFraction:   0.98,
 		}
-		eng, err := shard.New(shard.Config{
-			Shards: shards,
-			Engine: core.EngineConfig{
-				Mode: core.IntraInter,
-				// Order 8 keeps the trees deep at harness scales, so a
-				// cache miss costs a realistic multi-level descent;
-				// both arms use the identical engine config.
-				Palm:          palm.Config{Order: 4, Workers: perShard, LoadBalance: perShard > 1},
-				CacheCapacity: cacheCap,
-				Metrics:       o.Metrics,
-			},
-			KeyMax:    keys.Key(span - 1),
-			Autoshard: auto,
-		})
+		cfg := rn.stackConfig(Arm{Mode: core.IntraInter, Shards: shards})
+		// Order 4 keeps the trees deep at harness scales, so a cache
+		// miss costs a realistic multi-level descent; both arms use
+		// the identical engine config.
+		cfg.Engine.Palm.Order = 4
+		cfg.Engine.CacheCapacity = cacheCap
+		cfg.KeyMax = keys.Key(span - 1)
+		cfg.Autoshard = auto
+		eng, err := newStack(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -797,20 +770,15 @@ func AutoshardExp(rn *Runner, w io.Writer) error {
 		// Uniform-density prefill (every other key), so equal-width
 		// boundaries start equal-count too: the static arm is the best
 		// fixed layout for everything but the hotspot.
-		rs := keys.NewResultSet(batchSize)
-		chunk := make([]keys.Query, 0, batchSize)
+		prefill := make([]keys.Query, 0, span/2+1)
 		for k := 0; k < span; k += 2 {
-			chunk = append(chunk, keys.Insert(keys.Key(k), keys.Value(k)))
-			if len(chunk) == batchSize || k+2 >= span {
-				keys.Number(chunk)
-				rs.Reset(len(chunk))
-				eng.ProcessBatch(chunk, rs)
-				chunk = chunk[:0]
-			}
+			prefill = append(prefill, keys.Insert(keys.Key(k), keys.Value(k)))
 		}
+		eng.load(prefill, batchSize)
 
 		r := rand.New(rand.NewSource(o.Seed))
 		batch := make([]keys.Query, batchSize)
+		rs := keys.NewResultSet(batchSize)
 
 		// Warmup (untimed): both arms process the same draws; the
 		// autoshard arm's controller converges its boundaries onto the
@@ -825,7 +793,7 @@ func AutoshardExp(rn *Runner, w io.Writer) error {
 			// many MaxStep slices); bounded so a flapping layout cannot
 			// spin forever.
 			for s := 0; auto.Enabled && s < 64; s++ {
-				r := eng.AutoshardStep()
+				r := eng.se.AutoshardStep()
 				if r.Moved == 0 && !r.Split && !r.Merge {
 					break
 				}
@@ -837,7 +805,7 @@ func AutoshardExp(rn *Runner, w io.Writer) error {
 		// garbage bill land in the second arm's window would skew the
 		// comparison on small machines.
 		runtime.GC()
-		totals := stats.NewBatch(perShard)
+		totals := stats.NewBatch(cfg.Engine.Palm.Workers)
 		var lat, pauses stats.LatencyRecorder
 		var maxPause time.Duration
 		// Three repetitions of the measured window; the reported
@@ -865,7 +833,7 @@ func AutoshardExp(rn *Runner, w io.Writer) error {
 					// pause at a batch boundary.
 					for s := 0; s < 2; s++ {
 						ps := time.Now()
-						eng.AutoshardStep()
+						eng.se.AutoshardStep()
 						p := time.Since(ps)
 						pauses.Record(p)
 						if p > maxPause {
@@ -883,9 +851,9 @@ func AutoshardExp(rn *Runner, w io.Writer) error {
 			hitRate = float64(totals.CacheHits) / float64(looked)
 		}
 		return &armResult{
-			shards:   eng.Shards(),
+			shards:   eng.se.Shards(),
 			qps:      bestQps,
-			st:       eng.ShardStats(),
+			st:       eng.se.ShardStats(),
 			hitRate:  hitRate,
 			p50:      lat.Percentile(0.50),
 			max:      lat.Max(),
@@ -1000,62 +968,45 @@ func TieredExp(rn *Runner, w io.Writer) error {
 		st     tier.Stats
 	}
 	runArm := func(tiered bool) (*armResult, error) {
-		inner, err := core.NewEngine(core.EngineConfig{
-			Mode:          core.IntraInter,
-			Palm:          o.palmConfig(o.Workers, o.Workers > 1),
-			CacheCapacity: cacheCap,
-			Metrics:       o.Metrics,
-		})
+		cfg := rn.stackConfig(Arm{Mode: core.IntraInter})
+		cfg.Engine.CacheCapacity = cacheCap
+		eng, err := newStack(cfg)
 		if err != nil {
 			return nil, err
 		}
-		var eng interface {
-			ProcessBatch(qs []keys.Query, rs *keys.ResultSet)
-			Close()
-		} = inner
-		var te *tier.Engine
+		defer eng.Close()
 		if tiered {
 			dir, err := os.MkdirTemp("", "qtrans-tiered-exp-")
 			if err != nil {
-				inner.Close()
 				return nil, err
 			}
 			defer os.RemoveAll(dir)
-			st, err := tier.Open(tier.Config{
+			tc := tier.Config{
 				Dir:         filepath.Join(dir, "tier"),
 				MaxResident: budget,
 				RunKeys:     runKeys,
 				Buckets:     heatBuckets,
 				KeyMax:      keys.Key(span - 1),
 				Metrics:     o.Metrics,
-			}, true)
-			if err != nil {
-				inner.Close()
+			}
+			if err := eng.wrapTier(tc, actionsPerBatch); err != nil {
 				return nil, err
 			}
-			te = tier.NewEngine(inner, st, actionsPerBatch)
-			eng = te
 		}
-		defer eng.Close()
 
 		// Load the whole span (value = key). The tiered arm's budget
 		// overflows a quarter of the way in, so the load itself runs
 		// under continuous demotion pressure.
-		rs := keys.NewResultSet(batchSize)
-		chunk := make([]keys.Query, 0, batchSize)
-		for k := 0; k < span; k++ {
-			chunk = append(chunk, keys.Insert(keys.Key(k), keys.Value(k)))
-			if len(chunk) == batchSize || k+1 == span {
-				keys.Number(chunk)
-				rs.Reset(len(chunk))
-				eng.ProcessBatch(chunk, rs)
-				chunk = chunk[:0]
-			}
+		fill := make([]keys.Query, span)
+		for k := range fill {
+			fill[k] = keys.Insert(keys.Key(k), keys.Value(k))
 		}
+		eng.load(fill, batchSize)
 
 		r := rand.New(rand.NewSource(o.Seed))
 		width := span / 16
 		batch := make([]keys.Query, batchSize)
+		rs := keys.NewResultSet(batchSize)
 		var elapsed time.Duration
 		queries := 0
 		for b := 0; b < nBatches; b++ {
@@ -1082,19 +1033,20 @@ func TieredExp(rn *Runner, w io.Writer) error {
 		}
 
 		res := &armResult{qps: stats.Throughput(queries, elapsed)}
-		if te != nil {
-			if err := te.Err(); err != nil {
-				return nil, fmt.Errorf("tiered arm poisoned: %w", err)
-			}
+		st, err := eng.tierStats()
+		if err != nil {
+			return nil, err
+		}
+		if st != nil {
 			// The workload never deletes, so hot + cold must still hold
 			// exactly the loaded span — a logical-integrity check on the
 			// whole demote/promote churn above.
-			if got := te.Len(); got != span {
+			if got := eng.te.Len(); got != span {
 				return nil, fmt.Errorf("tiered arm lost keys: Len %d, loaded %d", got, span)
 			}
-			res.st = te.Store().Stats()
+			res.st = *st
 		} else {
-			res.st.ResidentKeys = int64(inner.StoredLen())
+			res.st.ResidentKeys = int64(eng.se.StoredLen())
 		}
 		runtime.GC()
 		var m runtime.MemStats

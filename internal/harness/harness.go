@@ -44,16 +44,16 @@ type Options struct {
 	Metrics *metrics.Registry
 
 	// Autoshard, when Enabled, turns on the traffic-aware resharding
-	// controller for sharded runs (RunShardOne with shards > 1). The
-	// harness always steps the controller manually at batch boundaries
-	// — the background loop is forced off — so the measured loop stays
+	// controller for sharded runs (RunOne with Arm.Shards > 1). The
+	// harness never starts the background loop; it steps the
+	// controller at batch boundaries, so the measured loop stays
 	// deterministic.
 	Autoshard shard.AutoshardConfig
 
-	// TieredDir, when set, wraps single-engine runs (RunOne and the
-	// probe paths built on it) with the cold-range tier store
-	// (DESIGN.md §14) rooted at this directory; the directory is wiped
-	// on open. Sharded and streamed runs do not support tiering.
+	// TieredDir, when set, wraps every RunOne arm — one shard or
+	// several, batch-at-a-time or streamed — with the cold-range tier
+	// store (DESIGN.md §14) rooted at this directory; the directory is
+	// wiped on open.
 	TieredDir string
 	// TieredBudget is the tiered runs' resident key budget
 	// (0 = a quarter of the keys stored after prefill).
@@ -69,15 +69,6 @@ type Options struct {
 	// in-process, which caps Conns at inprocConnCap because every
 	// connection then costs two descriptors in one process.
 	ServerBin string
-}
-
-// palmConfig builds the tree-processor config for one measurement arm.
-func (o Options) palmConfig(workers int, loadBalance bool) palm.Config {
-	return palm.Config{
-		Order:       o.Order,
-		Workers:     workers,
-		LoadBalance: loadBalance,
-	}
 }
 
 // normalized fills defaults.
@@ -119,8 +110,8 @@ type Result struct {
 	// Mem is the allocation/GC growth over the measured loop (the
 	// allocation-sweep metrics; divide by Batches for per-batch rates).
 	Mem stats.MemDelta
-	// ShardStats carries routing/imbalance counters for sharded runs
-	// (nil otherwise).
+	// ShardStats carries the routing/imbalance counters of the run's
+	// shard router (a single shard unless Arm.Shards > 1).
 	ShardStats *stats.Shard
 	// Tier carries the cold-store gauges and counters for tiered runs
 	// (nil otherwise).
@@ -138,190 +129,248 @@ type Runner struct {
 // NewRunner returns a Runner with normalized options.
 func NewRunner(opts Options) *Runner { return &Runner{Opts: opts.normalized()} }
 
-// RunOne measures one configuration. threads <= 0 uses Opts.Workers;
-// batchSize <= 0 uses the spec's (scaled) batch size.
-func (rn *Runner) RunOne(spec workload.Spec, mode core.Mode, updateRatio float64, threads, batchSize int) (*Result, error) {
-	return rn.runCustom(spec, mode, updateRatio, threads, batchSize, true)
+// Arm describes one measured configuration of the engine stack.
+type Arm struct {
+	// Spec is the Table I dataset to prefill and draw batches from.
+	Spec workload.Spec
+	// Mode is the QTrans configuration.
+	Mode core.Mode
+	// UpdateRatio is the share of updates (inserts and deletes) in
+	// each batch; the rest are searches.
+	UpdateRatio float64
+	// Threads is the BSP thread budget (<= 0 = Options.Workers),
+	// divided across the shards: max(1, Threads/Shards) each, so a
+	// shard sweep compares partitionings of a fixed budget.
+	Threads int
+	// BatchSize overrides the spec's (scaled) batch size (<= 0 keeps
+	// it).
+	BatchSize int
+	// Shards range-partitions the key space (<= 1 = one shard).
+	// Initial boundaries are equal-width over the generator's key
+	// range.
+	Shards int
+	// RebalanceEvery re-splits the shard boundaries from the stored
+	// keys after the prefill and then every that many batches (0 =
+	// never).
+	RebalanceEvery int
+	// NaiveBalance splits leaf groups evenly by count instead of by
+	// PALM's prefix-sum query balancing (the Fig. 13 ablation).
+	NaiveBalance bool
+	// Stream drives the batches through the engine's streaming
+	// interface; Pipeline turns on the two-stage pipeline that
+	// overlaps one batch's transform with the previous batch's tree
+	// evaluation (only streamed batches overlap).
+	Stream, Pipeline bool
 }
 
-// runCustom is RunOne with an explicit load-balancing setting (the
-// Fig. 13 ablation disables it).
-func (rn *Runner) runCustom(spec workload.Spec, mode core.Mode, updateRatio float64, threads, batchSize int, loadBalance bool) (*Result, error) {
-	o := rn.Opts
-	if threads <= 0 {
-		threads = o.Workers
+// normalized fills an arm's defaults from the runner options.
+func (a Arm) normalized(o Options) Arm {
+	if a.Threads <= 0 {
+		a.Threads = o.Workers
 	}
-	if batchSize <= 0 {
-		batchSize = spec.BatchSize
+	if a.BatchSize <= 0 {
+		a.BatchSize = a.Spec.BatchSize
 	}
-	if batchSize < 1 {
-		batchSize = 1
-	}
+	a.BatchSize = max(a.BatchSize, 1)
+	a.Shards = max(a.Shards, 1)
+	return a
+}
 
-	inner, err := core.NewEngine(core.EngineConfig{
-		Mode:          mode,
-		Palm:          o.palmConfig(threads, loadBalance),
-		CacheCapacity: o.CacheCapacity,
-		Metrics:       o.Metrics,
-	})
+// perShard is the arm's BSP thread count per shard.
+func (a Arm) perShard() int { return max(1, a.Threads/a.Shards) }
+
+// engine is the batch surface of the harness's engine stack: the
+// shard.Engine, or the tier.Engine wrapping it.
+type engine interface {
+	ProcessBatch(qs []keys.Query, rs *keys.ResultSet)
+	ProcessStream(in <-chan *core.Job, emit func(*core.Job))
+	Stats() *stats.Batch
+	Close()
+}
+
+// stack is the engine stack every harness measurement drives, layered
+// as the qtrans facade layers it: a range-partitioned shard.Engine
+// (one shard unless the arm asks for more), optionally wrapped by the
+// cold-range tier store. Batches go to the embedded outermost engine.
+type stack struct {
+	engine
+	se *shard.Engine
+	te *tier.Engine // nil unless tiered
+}
+
+// stackConfig is the engine-stack config of an arm: the runner's
+// order, cache, metrics and autoshard controller, and the arm's mode,
+// shards and per-shard threads (prefix-sum load balancing whenever a
+// shard has more than one thread, unless the arm is naive).
+func (rn *Runner) stackConfig(a Arm) shard.Config {
+	o := rn.Opts
+	a = a.normalized(o)
+	w := a.perShard()
+	return shard.Config{
+		Shards: a.Shards,
+		Engine: core.EngineConfig{
+			Mode:          a.Mode,
+			Palm:          palm.Config{Order: o.Order, Workers: w, LoadBalance: w > 1 && !a.NaiveBalance},
+			CacheCapacity: o.CacheCapacity,
+			Pipeline:      a.Pipeline,
+			Metrics:       o.Metrics,
+		},
+		Autoshard: o.Autoshard,
+	}
+}
+
+// newStack builds the shard engine of cfg.
+func newStack(cfg shard.Config) (*stack, error) {
+	se, err := shard.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}
-	gen := spec.Build()
-	var eng interface {
-		ProcessBatch(qs []keys.Query, rs *keys.ResultSet)
-		Stats() *stats.Batch
-		Close()
-	} = inner
+	return &stack{engine: se, se: se}, nil
+}
 
-	r := rand.New(rand.NewSource(o.Seed))
-
-	// Prefill: build the tree from the dataset's unique keys, via the
-	// engine itself in batch-sized chunks (fast and latch-free). The
-	// tier wrapper attaches after the prefill, so its default budget
-	// can be sized against the keys actually stored (skewed datasets
-	// collapse many draws onto few distinct keys).
-	prefill := workload.Prefill(gen, r, spec.UniqueKeys)
-	rs := keys.NewResultSet(batchSize)
-	for lo := 0; lo < len(prefill); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(prefill) {
-			hi = len(prefill)
-		}
-		chunk := keys.Number(prefill[lo:hi])
-		rs.Reset(len(chunk))
-		eng.ProcessBatch(chunk, rs)
+// wrapTier wraps the stack with a tier store rooted at cfg.Dir (wiped
+// on open), applying at most actions demotions per batch boundary.
+func (s *stack) wrapTier(cfg tier.Config, actions int) error {
+	st, err := tier.Open(cfg, true)
+	if err != nil {
+		return fmt.Errorf("harness: %w", err)
 	}
+	s.te = tier.NewEngine(s.se, st, actions)
+	s.engine = s.te
+	return nil
+}
 
-	var te *tier.Engine
+// load applies qs in batches of batchSize, untimed: the prefill and
+// bulk-load step of every measurement.
+func (s *stack) load(qs []keys.Query, batchSize int) {
+	rs := keys.NewResultSet(batchSize)
+	for lo := 0; lo < len(qs); lo += batchSize {
+		chunk := keys.Number(qs[lo:min(lo+batchSize, len(qs))])
+		rs.Reset(len(chunk))
+		s.ProcessBatch(chunk, rs)
+	}
+}
+
+// tierStats returns the cold-store gauges and counters of a tiered
+// stack (nil when untiered), or the sticky tier failure.
+func (s *stack) tierStats() (*tier.Stats, error) {
+	if s.te == nil {
+		return nil, nil
+	}
+	if err := s.te.Err(); err != nil {
+		return nil, fmt.Errorf("harness: tiered run: %w", err)
+	}
+	st := s.te.Store().Stats()
+	return &st, nil
+}
+
+// RunOne measures one arm: it prefills the stack with the dataset's
+// unique keys, then times the batches one at a time (per-batch
+// latency, rebalance and autoshard steps included) or, for streamed
+// arms, the whole stream end to end.
+func (rn *Runner) RunOne(a Arm) (*Result, error) {
+	o := rn.Opts
+	a = a.normalized(o)
+	gen := a.Spec.Build()
+	cfg := rn.stackConfig(a)
+	cfg.KeyMax = keys.Key(gen.KeyRange())
+	s, err := newStack(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+
+	// Prefill through the engine itself in batch-sized chunks (fast and
+	// latch-free). The tier wrapper attaches after the prefill, so its
+	// default budget can be sized against the keys actually stored
+	// (skewed datasets collapse many draws onto few distinct keys).
+	r := rand.New(rand.NewSource(o.Seed))
+	s.load(workload.Prefill(gen, r, a.Spec.UniqueKeys), a.BatchSize)
+	if a.RebalanceEvery > 0 {
+		// Start from boundaries fitted to the prefilled store.
+		if _, err := s.se.Rebalance(); err != nil {
+			return nil, err
+		}
+	}
 	if o.TieredDir != "" {
 		budget := o.TieredBudget
 		if budget <= 0 {
-			budget = inner.StoredLen() / 4
-			if budget < 1 {
-				budget = 1
-			}
-		}
-		st, err := tier.Open(tier.Config{
-			Dir:         o.TieredDir,
-			MaxResident: budget,
-			KeyMax:      keys.Key(gen.KeyRange()),
-			Metrics:     o.Metrics,
-		}, true)
-		if err != nil {
-			inner.Close()
-			return nil, fmt.Errorf("harness: %w", err)
+			budget = max(1, s.se.StoredLen()/4)
 		}
 		// Eight maintenance actions per batch so residency converges
 		// toward the budget within a short probe run.
-		te = tier.NewEngine(inner, st, 8)
-		eng = te
+		tc := tier.Config{Dir: o.TieredDir, MaxResident: budget, KeyMax: cfg.KeyMax, Metrics: o.Metrics}
+		if err := s.wrapTier(tc, 8); err != nil {
+			return nil, err
+		}
 	}
-	defer eng.Close()
 
 	res := &Result{
-		Dataset:     spec.Name,
-		Mode:        mode,
-		UpdateRatio: updateRatio,
-		Threads:     threads,
-		BatchSize:   batchSize,
-		Totals:      stats.NewBatch(threads),
+		Dataset:     a.Spec.Name,
+		Mode:        a.Mode,
+		UpdateRatio: a.UpdateRatio,
+		Threads:     a.perShard() * a.Shards,
+		BatchSize:   a.BatchSize,
+		Totals:      stats.NewBatch(a.perShard()),
+		Batches:     (a.Spec.Queries + a.BatchSize - 1) / a.BatchSize,
+		ShardStats:  s.se.ShardStats(),
 	}
-
-	nBatches := (spec.Queries + batchSize - 1) / batchSize
-	if o.Batches > 0 && nBatches > o.Batches {
-		nBatches = o.Batches
+	if o.Batches > 0 && res.Batches > o.Batches {
+		res.Batches = o.Batches
 	}
-	batch := make([]keys.Query, batchSize)
-	var elapsed time.Duration
-	m0 := stats.CaptureMem()
-	for b := 0; b < nBatches; b++ {
-		workload.FillBatch(gen, r, batch, updateRatio)
-		rs.Reset(len(batch))
-		start := time.Now()
-		eng.ProcessBatch(batch, rs)
-		d := time.Since(start)
-		elapsed += d
-		res.Latency.Record(d)
-		eng.Stats().AddTo(res.Totals)
-		res.Queries += len(batch)
+	if a.Stream {
+		rn.stream(s, gen, r, a, res)
+	} else if err := rn.batches(s, gen, r, a, res); err != nil {
+		return nil, err
 	}
-	res.Mem = stats.CaptureMem().Sub(m0)
-	res.Batches = nBatches
-	res.Elapsed = elapsed
-	res.Throughput = stats.Throughput(res.Queries, elapsed)
-	if te != nil {
-		if err := te.Err(); err != nil {
-			return nil, fmt.Errorf("harness: tiered run: %w", err)
-		}
-		ts := te.Store().Stats()
-		res.Tier = &ts
+	res.Throughput = stats.Throughput(res.Queries, res.Elapsed)
+	if res.Tier, err = s.tierStats(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// RunStreamOne measures one configuration driven through the engine's
-// streaming interface (ProcessStream), serially or two-stage pipelined.
-// All batches are pre-generated so both arms stream identical inputs
-// and generation cost stays outside the measured region; throughput is
-// end-to-end wall clock over the whole stream, which is what pipelining
-// improves (per-batch latency does not shrink — batches overlap).
-func (rn *Runner) RunStreamOne(spec workload.Spec, mode core.Mode, updateRatio float64, pipelined bool, batchSize int) (*Result, error) {
-	o := rn.Opts
-	threads := o.Workers
-	if batchSize <= 0 {
-		batchSize = spec.BatchSize
-	}
-	if batchSize < 1 {
-		batchSize = 1
-	}
-
-	eng, err := core.NewEngine(core.EngineConfig{
-		Mode:          mode,
-		Palm:          o.palmConfig(threads, true),
-		CacheCapacity: o.CacheCapacity,
-		Pipeline:      pipelined,
-		Metrics:       o.Metrics,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	defer eng.Close()
-
-	gen := spec.Build()
-	r := rand.New(rand.NewSource(o.Seed))
-	prefill := workload.Prefill(gen, r, spec.UniqueKeys)
-	rs := keys.NewResultSet(batchSize)
-	for lo := 0; lo < len(prefill); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(prefill) {
-			hi = len(prefill)
+// batches times res.Batches batches one at a time.
+func (rn *Runner) batches(s *stack, gen workload.Generator, r *rand.Rand, a Arm, res *Result) error {
+	batch := make([]keys.Query, a.BatchSize)
+	rs := keys.NewResultSet(a.BatchSize)
+	m0 := stats.CaptureMem()
+	for b := 0; b < res.Batches; b++ {
+		workload.FillBatch(gen, r, batch, a.UpdateRatio)
+		rs.Reset(len(batch))
+		start := time.Now()
+		s.ProcessBatch(batch, rs)
+		if a.RebalanceEvery > 0 && (b+1)%a.RebalanceEvery == 0 {
+			if _, err := s.se.Rebalance(); err != nil {
+				return err
+			}
 		}
-		chunk := keys.Number(prefill[lo:hi])
-		rs.Reset(len(chunk))
-		eng.ProcessBatch(chunk, rs)
+		if rn.Opts.Autoshard.Enabled {
+			s.se.AutoshardStep()
+		}
+		d := time.Since(start)
+		res.Elapsed += d
+		res.Latency.Record(d)
+		s.Stats().AddTo(res.Totals)
+		res.Queries += len(batch)
 	}
+	res.Mem = stats.CaptureMem().Sub(m0)
+	return nil
+}
 
-	nBatches := (spec.Queries + batchSize - 1) / batchSize
-	if o.Batches > 0 && nBatches > o.Batches {
-		nBatches = o.Batches
-	}
-	jobs := make([]*core.Job, nBatches)
+// stream times res.Batches batches through the engine's streaming
+// interface. All batches are pre-generated so streamed arms see
+// identical inputs and generation cost stays outside the measured
+// region; the elapsed time is end-to-end wall clock over the whole
+// stream, which is what pipelining improves (per-batch latency does
+// not shrink — batches overlap — so none is recorded).
+func (rn *Runner) stream(s *stack, gen workload.Generator, r *rand.Rand, a Arm, res *Result) {
+	jobs := make([]*core.Job, res.Batches)
 	for b := range jobs {
-		qs := make([]keys.Query, batchSize)
-		workload.FillBatch(gen, r, qs, updateRatio)
+		qs := make([]keys.Query, a.BatchSize)
+		workload.FillBatch(gen, r, qs, a.UpdateRatio)
 		jobs[b] = &core.Job{Qs: qs}
 	}
-
-	res := &Result{
-		Dataset:     spec.Name,
-		Mode:        mode,
-		UpdateRatio: updateRatio,
-		Threads:     threads,
-		BatchSize:   batchSize,
-		Totals:      stats.NewBatch(threads),
-	}
-
 	in := make(chan *core.Job, 1)
 	m0 := stats.CaptureMem()
 	start := time.Now()
@@ -331,118 +380,12 @@ func (rn *Runner) RunStreamOne(spec workload.Spec, mode core.Mode, updateRatio f
 		}
 		close(in)
 	}()
-	eng.ProcessStream(in, func(j *core.Job) {
-		eng.Stats().AddTo(res.Totals)
+	s.ProcessStream(in, func(j *core.Job) {
+		s.Stats().AddTo(res.Totals)
 		res.Queries += len(j.Qs)
 	})
 	res.Elapsed = time.Since(start)
 	res.Mem = stats.CaptureMem().Sub(m0)
-	res.Batches = nBatches
-	res.Throughput = stats.Throughput(res.Queries, res.Elapsed)
-	return res, nil
-}
-
-// RunShardOne measures one configuration on a range-partitioned
-// sharded engine (shards <= 1 degenerates to a single engine inside
-// shard.Engine). The worker budget is divided across shards —
-// max(1, Workers/shards) BSP threads each — so the sweep compares
-// partitionings of a fixed thread budget, not growing hardware. Initial
-// boundaries are equal-width over the generator's key range; when
-// rebalanceEvery > 0 the engine re-splits from the observed keys every
-// that many batches. ShardStats on the returned result carries the
-// routing/imbalance counters.
-func (rn *Runner) RunShardOne(spec workload.Spec, mode core.Mode, updateRatio float64, shards, batchSize, rebalanceEvery int) (*Result, error) {
-	o := rn.Opts
-	if shards < 1 {
-		shards = 1
-	}
-	if batchSize <= 0 {
-		batchSize = spec.BatchSize
-	}
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	perShard := o.Workers / shards
-	if perShard < 1 {
-		perShard = 1
-	}
-
-	gen := spec.Build()
-	auto := o.Autoshard
-	auto.Interval = -1 // stepped manually at batch boundaries below
-	eng, err := shard.New(shard.Config{
-		Shards: shards,
-		Engine: core.EngineConfig{
-			Mode:          mode,
-			Palm:          o.palmConfig(perShard, true),
-			CacheCapacity: o.CacheCapacity,
-			Metrics:       o.Metrics,
-		},
-		KeyMax:    keys.Key(gen.KeyRange()),
-		Autoshard: auto,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	defer eng.Close()
-
-	r := rand.New(rand.NewSource(o.Seed))
-	prefill := workload.Prefill(gen, r, spec.UniqueKeys)
-	rs := keys.NewResultSet(batchSize)
-	for lo := 0; lo < len(prefill); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(prefill) {
-			hi = len(prefill)
-		}
-		chunk := keys.Number(prefill[lo:hi])
-		rs.Reset(len(chunk))
-		eng.ProcessBatch(chunk, rs)
-	}
-	if rebalanceEvery > 0 {
-		// Start from boundaries fitted to the prefilled store.
-		if _, err := eng.Rebalance(); err != nil {
-			return nil, err
-		}
-	}
-
-	res := &Result{
-		Dataset:     spec.Name,
-		Mode:        mode,
-		UpdateRatio: updateRatio,
-		Threads:     perShard * shards,
-		BatchSize:   batchSize,
-		Totals:      stats.NewBatch(perShard),
-		ShardStats:  eng.ShardStats(),
-	}
-
-	nBatches := (spec.Queries + batchSize - 1) / batchSize
-	if o.Batches > 0 && nBatches > o.Batches {
-		nBatches = o.Batches
-	}
-	batch := make([]keys.Query, batchSize)
-	var elapsed time.Duration
-	for b := 0; b < nBatches; b++ {
-		workload.FillBatch(gen, r, batch, updateRatio)
-		rs.Reset(len(batch))
-		start := time.Now()
-		eng.ProcessBatch(batch, rs)
-		if rebalanceEvery > 0 && (b+1)%rebalanceEvery == 0 {
-			if _, err := eng.Rebalance(); err != nil {
-				return nil, err
-			}
-		}
-		if auto.Enabled {
-			eng.AutoshardStep()
-		}
-		elapsed += time.Since(start)
-		res.Latency.Record(time.Since(start))
-		eng.Stats().AddTo(res.Totals)
-		res.Queries += len(batch)
-	}
-	res.Batches = nBatches
-	res.Elapsed = elapsed
-	res.Throughput = stats.Throughput(res.Queries, elapsed)
-	return res, nil
 }
 
 // UpdateRatios are the x-axis points of Figs. 9-12 and 14.

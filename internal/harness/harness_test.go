@@ -31,7 +31,7 @@ func TestRunOneProducesThroughput(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []core.Mode{core.Original, core.Intra, core.IntraInter} {
-		res, err := rn.RunOne(spec, mode, 0.25, 0, 0)
+		res, err := rn.RunOne(Arm{Spec: spec, Mode: mode, UpdateRatio: 0.25})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,14 +50,14 @@ func TestRunOneReductionOnSkewedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rn.RunOne(spec, core.Intra, 0.5, 0, 0)
+	res, err := rn.RunOne(Arm{Spec: spec, Mode: core.Intra, UpdateRatio: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ReductionRatio() <= 0 {
 		t.Fatalf("no reduction on zipfian data: %f", res.ReductionRatio())
 	}
-	org, err := rn.RunOne(spec, core.Original, 0.5, 0, 0)
+	org, err := rn.RunOne(Arm{Spec: spec, Mode: core.Original, UpdateRatio: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,14 +287,14 @@ func TestTable2Output(t *testing.T) {
 	}
 }
 
-func TestRunShardOne(t *testing.T) {
+func TestRunSharded(t *testing.T) {
 	rn := NewRunner(tinyOpts())
 	spec, err := workload.SpecByName("uniform", rn.Opts.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 3} {
-		res, err := rn.RunShardOne(spec, core.IntraInter, 0.25, shards, 0, 1)
+		res, err := rn.RunOne(Arm{Spec: spec, Mode: core.IntraInter, UpdateRatio: 0.25, Shards: shards, RebalanceEvery: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,6 +307,44 @@ func TestRunShardOne(t *testing.T) {
 		if shards > 1 && res.ShardStats.Rebalances == 0 {
 			t.Fatalf("shards=%d: rebalanceEvery=1 recorded no rebalances", shards)
 		}
+	}
+}
+
+// TestTieredRunsComposeWithShardsAndStream checks that TieredDir wraps
+// every arm of the one run loop: a two-shard batch run and a pipelined
+// stream run both demote past the default budget and report tier
+// stats, and the sharded run still reports its routing counters.
+func TestTieredRunsComposeWithShardsAndStream(t *testing.T) {
+	spec, err := workload.SpecByName("uniform", tinyOpts().Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		arm  Arm
+	}{
+		{"sharded", Arm{Shards: 2}},
+		{"stream", Arm{Stream: true, Pipeline: true}},
+	} {
+		arm := tc.arm
+		t.Run(tc.name, func(t *testing.T) {
+			o := tinyOpts()
+			o.TieredDir = t.TempDir()
+			arm.Spec, arm.Mode, arm.UpdateRatio = spec, core.IntraInter, 0.25
+			res, err := NewRunner(o).RunOne(arm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Tier == nil || res.Tier.Demotions == 0 {
+				t.Fatalf("no tier demotions: %+v", res.Tier)
+			}
+			if res.Queries == 0 {
+				t.Fatal("no queries measured")
+			}
+			if arm.Shards > 1 && (res.ShardStats == nil || len(res.ShardStats.Routed) != 2) {
+				t.Fatalf("sharded tiered run lost its shard stats: %v", res.ShardStats)
+			}
+		})
 	}
 }
 

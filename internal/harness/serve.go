@@ -51,7 +51,7 @@ type servePhaseConfig struct {
 }
 
 type inprocBackend struct {
-	eng      *core.Engine
+	eng      *stack
 	b        *batcher.Batcher
 	srv      *server.Server
 	ln       net.Listener
@@ -60,12 +60,7 @@ type inprocBackend struct {
 
 func (rn *Runner) newInprocBackend(pc servePhaseConfig) (*inprocBackend, error) {
 	o := rn.Opts
-	eng, err := core.NewEngine(core.EngineConfig{
-		Mode:          core.IntraInter,
-		Palm:          o.palmConfig(o.Workers, true),
-		CacheCapacity: o.CacheCapacity,
-		Metrics:       o.Metrics,
-	})
+	eng, err := newStack(rn.stackConfig(Arm{Mode: core.IntraInter}))
 	if err != nil {
 		return nil, err
 	}

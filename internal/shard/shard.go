@@ -19,6 +19,7 @@ package shard
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sync"
 
@@ -31,7 +32,7 @@ import (
 // Config configures a sharded engine.
 type Config struct {
 	// Shards is the number of partitions (<= 1 means a single shard,
-	// which behaves exactly like the wrapped core.Engine).
+	// which passes whole batches and streams to its one core.Engine).
 	Shards int
 	// Engine configures every shard's core engine. Each shard gets its
 	// own pool, tree, and cache from this template, so Palm.Workers is
@@ -123,8 +124,9 @@ func New(cfg Config) (*Engine, error) {
 
 // NewFromTree builds a sharded engine whose initial contents are the
 // pairs of tree, split across the shards by the engine's boundaries
-// (used to restore a snapshot into a sharded deployment). The tree is
-// consumed conceptually: the shards bulk-load disjoint copies.
+// (used to restore a snapshot). The tree is consumed: a single shard
+// adopts it as its own tree, while several shards bulk-load disjoint
+// copies.
 func NewFromTree(cfg Config, tree *btree.Tree) (*Engine, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("shard: NewFromTree with nil tree")
@@ -137,7 +139,6 @@ func NewFromTree(cfg Config, tree *btree.Tree) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	ks, vs := tree.Dump()
 	order := tree.Order()
 	cfg.Engine.Palm.Order = order
 	e := &Engine{
@@ -145,6 +146,16 @@ func NewFromTree(cfg Config, tree *btree.Tree) (*Engine, error) {
 		bounds: bounds,
 		shst:   stats.NewShard(n),
 	}
+	if n == 1 {
+		sh, err := core.NewEngineWithTree(cfg.Engine, tree)
+		if err != nil {
+			return nil, fmt.Errorf("shard 0: %w", err)
+		}
+		e.shards = []*core.Engine{sh}
+		e.finishInit()
+		return e, nil
+	}
+	ks, vs := tree.Dump()
 	lo := 0
 	for i := 0; i < n; i++ {
 		hi := len(ks)
@@ -448,6 +459,24 @@ func (e *Engine) Dump() (ks []keys.Key, vs []keys.Value) {
 		vs = append(vs, svs...)
 	}
 	return ks, vs
+}
+
+// SaveTree writes every stored pair (caches flushed first) as one
+// btree snapshot: a single shard saves its own tree directly, several
+// shards save the bulk-loaded merge of their dumps. Like Dump it takes
+// no gate, because the snapshot paths call it while already holding
+// the gate exclusively.
+func (e *Engine) SaveTree(w io.Writer) error {
+	if len(e.shards) == 1 {
+		e.Flush()
+		return e.shards[0].Processor().Tree().Save(w)
+	}
+	ks, vs := e.Dump()
+	tree, err := btree.BulkLoad(e.Order(), ks, vs)
+	if err != nil {
+		return err
+	}
+	return tree.Save(w)
 }
 
 // Order returns the shards' B+ tree order.

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/btree"
@@ -436,6 +438,71 @@ func TestNewFromTree(t *testing.T) {
 	})
 	if count != 7 {
 		t.Fatalf("early Scan visited %d, want 7", count)
+	}
+}
+
+// TestNewFromTreeOneShardAdopts checks that a one-shard engine takes
+// the restored tree over as its own instead of copying it.
+func TestNewFromTreeOneShardAdopts(t *testing.T) {
+	tree, err := btree.New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 100; k++ {
+		tree.Insert(keys.Key(k), keys.Value(k))
+	}
+	e, err := NewFromTree(Config{Engine: testEngineConfig(core.IntraInter, false)}, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if got := e.Shard(0).Processor().Tree(); got != tree {
+		t.Fatal("one-shard NewFromTree copied the tree instead of adopting it")
+	}
+	if got := e.Len(); got != 100 {
+		t.Fatalf("Len = %d, want 100", got)
+	}
+}
+
+// TestSaveTree checks the snapshot writer: with one shard it is
+// byte-identical to saving the shard's tree directly, and with three
+// shards the merged snapshot loads back to the same pairs.
+func TestSaveTree(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		e, err := New(Config{Shards: n, Engine: testEngineConfig(core.IntraInter, false), KeyMax: 999})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		r := rand.New(rand.NewSource(int64(n)))
+		rs := keys.NewResultSet(0)
+		for b := 0; b < 20; b++ {
+			qs := randomBatch(r, 64, 1000)
+			rs.Reset(len(qs))
+			e.ProcessBatch(qs, rs)
+		}
+		var got bytes.Buffer
+		if err := e.SaveTree(&got); err != nil {
+			t.Fatal(err)
+		}
+		if n == 1 {
+			var want bytes.Buffer
+			if err := e.Shard(0).Processor().Tree().Save(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatal("one-shard SaveTree differs from the shard tree's Save")
+			}
+		}
+		loaded, err := btree.Load(&got, 0)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", n, err)
+		}
+		wk, wv := e.Dump()
+		lk, lv := loaded.Dump()
+		if !reflect.DeepEqual(wk, lk) || !reflect.DeepEqual(wv, lv) {
+			t.Fatalf("shards=%d: SaveTree round trip lost pairs: %d stored, %d loaded", n, len(wk), len(lk))
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/btree"
-	"repro/internal/keys"
 	"repro/internal/tier"
 	"repro/internal/wal"
 )
@@ -69,9 +68,8 @@ func (d Durability) walOptions() wal.Options {
 
 // openDurable recovers Dir's snapshot and log into a fresh DB and
 // attaches the commit hooks, so every later batch is logged before it
-// is applied. Works identically for single-engine and sharded DBs: the
-// log records query streams, not shard assignments, so a directory
-// written with one shard count reopens under any other.
+// is applied. The log records query streams, not shard assignments, so
+// a directory written with one shard count reopens under any other.
 func openDurable(opts Options) (*DB, error) {
 	wo := opts.Durability.walOptions()
 	wo.Metrics = opts.Metrics
@@ -98,50 +96,9 @@ func openDurable(opts Options) (*DB, error) {
 		}
 		opts.Order = tree.Order()
 	}
-	db, err := build(opts, tree)
+	db, err := build(opts, tree, rec.Batches, snapRes)
 	if err != nil {
 		return nil, err
-	}
-
-	// Replay committed batches logged after the snapshot, in commit
-	// order, through the normal batch path (the surviving queries fully
-	// determine each batch's state effect). The commit hook is not yet
-	// attached, so replay does not re-log. On a tiered DB the replay
-	// runs on the raw inner engine — promotions logged before the
-	// crash replay as plain insert batches, and the tier wrapper is
-	// attached only afterwards so no replayed query can trigger a
-	// spurious fault-in.
-	rs := keys.NewResultSet(0)
-	for _, b := range rec.Batches {
-		keys.Number(b)
-		rs.Reset(len(b))
-		db.eng.ProcessBatch(b, rs)
-	}
-
-	// Reconcile the tier directory with the replayed state: the
-	// manifest is the authority for which ranges are cold, and their
-	// runs override whatever the replay rebuilt for those keys
-	// (demoted keys replay hot because their original inserts are
-	// still in the log; the purge removes them again).
-	if opts.Tiered.Dir != "" {
-		st, err := tier.Open(opts.tierConfig(), false)
-		if err != nil {
-			db.eng.Close()
-			return nil, err
-		}
-		if snapRes != nil && len(snapRes.ColdRuns()) > 0 && !st.Recovered() {
-			db.eng.Close()
-			return nil, fmt.Errorf("qtrans: snapshot in %s references cold runs but tier directory %s has no manifest (tier state lost)",
-				opts.Durability.Dir, opts.Tiered.Dir)
-		}
-		var inner tier.Inner = db.single
-		if db.sharded != nil {
-			inner = db.sharded
-		}
-		te := tier.NewEngine(inner, st, opts.Tiered.MaxActionsPerBatch)
-		te.SetGate(&db.gate)
-		te.PurgeCold()
-		db.eng, db.tier = te, te
 	}
 
 	log, err := rec.OpenLog()
@@ -155,11 +112,7 @@ func openDurable(opts Options) (*DB, error) {
 	if db.durFS == nil {
 		db.durFS = wal.OS()
 	}
-	if db.single != nil {
-		db.single.SetCommitter(log)
-	} else {
-		db.sharded.SetCommitter(log)
-	}
+	db.shards.SetCommitter(log)
 	if db.tier != nil {
 		db.tier.SetLogger(log)
 	}
@@ -238,20 +191,8 @@ func (db *DB) Checkpoint() error {
 // against a lost tier directory.
 func (db *DB) saveTieredLocked(w io.Writer) error {
 	var tree bytes.Buffer
-	if db.sharded != nil {
-		ks, vs := db.sharded.Dump()
-		t, err := btree.BulkLoad(db.sharded.Order(), ks, vs)
-		if err != nil {
-			return err
-		}
-		if err := t.Save(&tree); err != nil {
-			return err
-		}
-	} else {
-		db.eng.Flush()
-		if err := db.single.Processor().Tree().Save(&tree); err != nil {
-			return err
-		}
+	if err := db.shards.SaveTree(&tree); err != nil {
+		return err
 	}
 	var hdr [12]byte
 	copy(hdr[0:4], tieredSnapMagic[:])
@@ -277,15 +218,8 @@ func (db *DB) Err() error {
 			return err
 		}
 	}
-	if db.single != nil {
-		if err := db.single.CommitErr(); err != nil {
-			return err
-		}
-	}
-	if db.sharded != nil {
-		if err := db.sharded.CommitErr(); err != nil {
-			return err
-		}
+	if err := db.shards.CommitErr(); err != nil {
+		return err
 	}
 	if db.log != nil {
 		return db.log.Err()

@@ -105,8 +105,8 @@ type Options struct {
 	// independent engines (each with its own tree, worker pool, and
 	// cache); batches are split by key range, evaluated in parallel,
 	// and re-merged in original query order, so semantics are identical
-	// to the single-engine path. 0 or 1 selects today's single engine —
-	// the zero Options is unchanged. See DESIGN.md §6.
+	// to serial evaluation. 0 or 1 means one shard, which passes whole
+	// batches to its one engine. See DESIGN.md §6.
 	Shards int
 	// ShardKeyMax hints the largest key the workload produces so the
 	// initial equal-width shard boundaries cover the real key range
@@ -266,9 +266,9 @@ func (opts Options) engineConfig() core.EngineConfig {
 	}
 }
 
-// engine is the execution surface shared by the single core.Engine and
-// the range-partitioned shard.Engine; DB drives whichever Options
-// selected through it.
+// engine is the execution surface shared by the range-partitioned
+// shard.Engine and the tier.Engine that wraps it; DB drives batches
+// through whichever is outermost.
 type engine interface {
 	ProcessBatch(qs []keys.Query, rs *keys.ResultSet)
 	ProcessStream(in <-chan *core.Job, emit func(*core.Job))
@@ -280,9 +280,12 @@ type engine interface {
 
 // DB is a B+ tree database processing query batches.
 type DB struct {
-	eng       engine
-	single    *core.Engine  // non-nil when Shards <= 1
-	sharded   *shard.Engine // non-nil when Shards > 1
+	// eng is the outermost engine: tier when tiered, else shards.
+	eng engine
+	// shards is the range-partitioned engine (one shard unless
+	// Options.Shards > 1); sharded records Options.Shards > 1.
+	shards    *shard.Engine
+	sharded   bool
 	pipelined bool
 	// tier is the cold-store wrapper (nil when Options.Tiered is off;
 	// when non-nil it is also eng).
@@ -312,80 +315,86 @@ func Open(opts Options) (*DB, error) {
 	if opts.Durability.Dir != "" {
 		return openDurable(opts)
 	}
-	db, err := build(opts, nil)
+	return build(opts, nil, nil, nil)
+}
+
+// build constructs the engine stack for opts over a restored tree (nil
+// = empty), installs the snapshot gate, replays the recovered batches,
+// and wraps the stack with the tier store when Options.Tiered is on.
+// Without durability the tier directory starts fresh: cold runs cannot
+// be reconciled without a log, so leftovers are wiped. With it, the
+// directory is recovered and reconciled with the replayed state.
+func build(opts Options, tree *btree.Tree, replay [][]keys.Query, snapRes *tier.Residency) (*DB, error) {
+	cfg := shard.Config{
+		Shards:    opts.Shards,
+		Engine:    opts.engineConfig(),
+		KeyMax:    opts.ShardKeyMax,
+		Autoshard: opts.Autoshard.shardConfig(),
+	}
+	var se *shard.Engine
+	var err error
+	if tree != nil {
+		se, err = shard.NewFromTree(cfg, tree)
+	} else {
+		se, err = shard.New(cfg)
+	}
 	if err != nil {
 		return nil, err
 	}
-	// Without durability the tier directory starts fresh: cold runs
-	// cannot be reconciled without a log, so wipe any leftovers.
-	if err := db.wireTier(opts, true); err != nil {
-		db.eng.Close()
+	db := &DB{eng: se, shards: se, sharded: opts.Shards > 1, pipelined: opts.Pipeline, met: opts.Metrics}
+	se.SetGate(&db.gate)
+	// The background controller steps through the same gate the
+	// batches hold, so it must start after the gate is installed.
+	se.StartAutoshard()
+
+	// Replay committed batches logged after the snapshot, in commit
+	// order, through the normal batch path (the surviving queries fully
+	// determine each batch's state effect). The commit hook is not yet
+	// attached, so replay does not re-log. On a tiered DB the replay
+	// runs on the raw inner engine — promotions logged before the
+	// crash replay as plain insert batches, and the tier wrapper is
+	// attached only afterwards so no replayed query can trigger a
+	// spurious fault-in.
+	rs := keys.NewResultSet(0)
+	for _, b := range replay {
+		keys.Number(b)
+		rs.Reset(len(b))
+		se.ProcessBatch(b, rs)
+	}
+	if err := db.wireTier(opts, snapRes); err != nil {
+		se.Close()
 		return nil, err
 	}
 	return db, nil
 }
 
 // wireTier wraps the engine stack with the tier store when
-// Options.Tiered is on. With wipe, existing tier state is discarded.
-func (db *DB) wireTier(opts Options, wipe bool) error {
+// Options.Tiered is on. On a durable DB it reconciles the recovered
+// tier directory with the replayed state: the manifest is the
+// authority for which ranges are cold, and their runs override
+// whatever the replay rebuilt for those keys (demoted keys replay hot
+// because their original inserts are still in the log; the purge
+// removes them again).
+func (db *DB) wireTier(opts Options, snapRes *tier.Residency) error {
 	if opts.Tiered.Dir == "" {
 		return nil
 	}
-	st, err := tier.Open(opts.tierConfig(), wipe)
+	durable := opts.Durability.Dir != ""
+	st, err := tier.Open(opts.tierConfig(), !durable)
 	if err != nil {
 		return err
 	}
-	var inner tier.Inner = db.single
-	if db.sharded != nil {
-		inner = db.sharded
+	if snapRes != nil && len(snapRes.ColdRuns()) > 0 && !st.Recovered() {
+		return fmt.Errorf("qtrans: snapshot in %s references cold runs but tier directory %s has no manifest (tier state lost)",
+			opts.Durability.Dir, opts.Tiered.Dir)
 	}
-	te := tier.NewEngine(inner, st, opts.Tiered.MaxActionsPerBatch)
+	te := tier.NewEngine(db.shards, st, opts.Tiered.MaxActionsPerBatch)
 	te.SetGate(&db.gate)
+	if durable {
+		te.PurgeCold()
+	}
 	db.eng, db.tier = te, te
 	return nil
-}
-
-// build constructs the engine stack for opts — sharded or single,
-// over a restored tree or fresh — and installs the snapshot gate.
-func build(opts Options, tree *btree.Tree) (*DB, error) {
-	db := &DB{pipelined: opts.Pipeline, met: opts.Metrics}
-	if opts.Shards > 1 {
-		cfg := shard.Config{
-			Shards:    opts.Shards,
-			Engine:    opts.engineConfig(),
-			KeyMax:    opts.ShardKeyMax,
-			Autoshard: opts.Autoshard.shardConfig(),
-		}
-		var se *shard.Engine
-		var err error
-		if tree != nil {
-			se, err = shard.NewFromTree(cfg, tree)
-		} else {
-			se, err = shard.New(cfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		db.eng, db.sharded = se, se
-		se.SetGate(&db.gate)
-		// The background controller steps through the same gate the
-		// batches hold, so it must start after the gate is installed.
-		se.StartAutoshard()
-		return db, nil
-	}
-	var eng *core.Engine
-	var err error
-	if tree != nil {
-		eng, err = core.NewEngineWithTree(opts.engineConfig(), tree)
-	} else {
-		eng, err = core.NewEngine(opts.engineConfig())
-	}
-	if err != nil {
-		return nil, err
-	}
-	db.eng, db.single = eng, eng
-	eng.SetGate(&db.gate)
-	return db, nil
 }
 
 // Close releases the DB's worker pools and, when durability is on,
@@ -556,11 +565,7 @@ func (db *DB) Len() int {
 	if db.tier != nil {
 		return db.tier.Len()
 	}
-	if db.sharded != nil {
-		return db.sharded.Len()
-	}
-	db.eng.Flush()
-	return db.single.Processor().Tree().Len()
+	return db.shards.Len()
 }
 
 // Scan visits all pairs in ascending key order (flushing the caches
@@ -572,12 +577,7 @@ func (db *DB) Scan(fn func(k Key, v Value) bool) {
 		db.tier.Scan(fn)
 		return
 	}
-	if db.sharded != nil {
-		db.sharded.Scan(fn)
-		return
-	}
-	db.eng.Flush()
-	db.single.Processor().Tree().Scan(fn)
+	db.shards.Scan(fn)
 }
 
 // TierStats summarizes a tiered DB's cold store (resident/cold keys,
@@ -601,10 +601,7 @@ func (db *DB) Warm(hot []Key) { db.eng.Train(hot) }
 // returns the number of keys that changed shard; on an unsharded DB it
 // is a no-op.
 func (db *DB) Rebalance() (migrated int, err error) {
-	if db.sharded == nil {
-		return 0, nil
-	}
-	return db.sharded.Rebalance()
+	return db.shards.Rebalance()
 }
 
 // AutoshardStep runs one autoshard controller step synchronously (see
@@ -615,19 +612,16 @@ func (db *DB) Rebalance() (migrated int, err error) {
 // own cadence; a no-op reporting the current shard count when
 // autosharding is off or the DB is unsharded.
 func (db *DB) AutoshardStep() shard.AutoshardReport {
-	if db.sharded == nil {
-		return shard.AutoshardReport{Shards: 1}
-	}
-	return db.sharded.AutoshardStep()
+	return db.shards.AutoshardStep()
 }
 
 // ShardStats exposes the routing/rebalance counters of a sharded DB
 // (nil when unsharded).
 func (db *DB) ShardStats() *stats.Shard {
-	if db.sharded == nil {
+	if !db.sharded {
 		return nil
 	}
-	return db.sharded.ShardStats()
+	return db.shards.ShardStats()
 }
 
 // Save writes a snapshot of the store (caches flushed first) that Load
@@ -649,28 +643,18 @@ func (db *DB) Save(w io.Writer) error {
 // (Checkpoint, by contrast, snapshots hot state + residency only and
 // never materializes cold data; see durability.go).
 func (db *DB) saveLocked(w io.Writer) error {
-	if db.tier != nil {
-		ks, vs, err := db.tier.DumpLocked()
-		if err != nil {
-			return err
-		}
-		order := db.order()
-		tree, err := btree.BulkLoad(order, ks, vs)
-		if err != nil {
-			return err
-		}
-		return tree.Save(w)
+	if db.tier == nil {
+		return db.shards.SaveTree(w)
 	}
-	if db.sharded != nil {
-		ks, vs := db.sharded.Dump()
-		tree, err := btree.BulkLoad(db.sharded.Order(), ks, vs)
-		if err != nil {
-			return err
-		}
-		return tree.Save(w)
+	ks, vs, err := db.tier.DumpLocked()
+	if err != nil {
+		return err
 	}
-	db.eng.Flush()
-	return db.single.Processor().Tree().Save(w)
+	tree, err := btree.BulkLoad(db.shards.Order(), ks, vs)
+	if err != nil {
+		return err
+	}
+	return tree.Save(w)
 }
 
 // Load restores a snapshot written by Save into a fresh DB configured
@@ -687,23 +671,7 @@ func Load(r io.Reader, opts Options) (*DB, error) {
 		return nil, err
 	}
 	opts.Order = tree.Order()
-	db, err := build(opts, tree)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.wireTier(opts, true); err != nil {
-		db.eng.Close()
-		return nil, err
-	}
-	return db, nil
-}
-
-// order returns the tree fanout of the engine stack.
-func (db *DB) order() int {
-	if db.sharded != nil {
-		return db.sharded.Order()
-	}
-	return db.single.Processor().Tree().Order()
+	return build(opts, tree, nil, nil)
 }
 
 // LastBatchStats exposes the instrumentation of the most recent Run.

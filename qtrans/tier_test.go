@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/faultfs"
+	"repro/internal/shard"
 	"repro/internal/tier"
 )
 
@@ -65,9 +65,9 @@ func coldKey(t *testing.T, db *DB) Key {
 }
 
 // TestTieredOffIdentical locks the zero-value contract: without
-// Options.Tiered the DB carries no tier wrapper at all — the engine is
-// the same bare *core.Engine as before the feature existed, and
-// TierStats reports not-tiered.
+// Options.Tiered the DB carries no tier wrapper at all — batches go
+// straight to the bare *shard.Engine, and TierStats reports
+// not-tiered.
 func TestTieredOffIdentical(t *testing.T) {
 	db, err := Open(Options{Order: 8, Workers: 2, CacheCapacity: 16})
 	if err != nil {
@@ -77,8 +77,8 @@ func TestTieredOffIdentical(t *testing.T) {
 	if db.tier != nil {
 		t.Fatal("tier wrapper present with Tiered off")
 	}
-	if eng, ok := db.eng.(*core.Engine); !ok || eng != db.single {
-		t.Fatalf("engine is %T, want the bare single engine", db.eng)
+	if eng, ok := db.eng.(*shard.Engine); !ok || eng != db.shards {
+		t.Fatalf("engine is %T, want the bare shard engine", db.eng)
 	}
 	if _, ok := db.TierStats(); ok {
 		t.Fatal("TierStats ok on an untiered DB")

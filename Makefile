@@ -39,7 +39,10 @@
 #                tiered differential fuzzer (tiered facade vs the plain
 #                facade and a map oracle with random demotion budgets,
 #                DESIGN.md §14; the crash-recovery fuzzer also carries
-#                a tiered pre-crash arm)
+#                a tiered pre-crash arm), the QSAT fuzzer (one-pass
+#                QSAT's answers and final store vs the serial
+#                reference — the only transform), and the radix fuzzer
+#                (RadixSortRun vs a stable key sort — the only sort)
 #   bench-smoke  one-iteration compile-and-run of the pipeline benchmark
 #                plus a tiny tiered-experiment run (catches bit-rot in
 #                the bench harnesses without paying for a measurement)
@@ -113,6 +116,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzTieredEquivalence -fuzztime=10s ./qtrans
 	$(GO) test -run=^$$ -fuzz=FuzzTreeOps -fuzztime=10s ./internal/btree
 	$(GO) test -run=^$$ -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/server
+	$(GO) test -run=^$$ -fuzz=FuzzQSATEquivalence -fuzztime=10s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzRadixSortRun -fuzztime=10s ./internal/bsp
 
 bench-smoke:
 	$(GO) test -run=XXX -bench=BenchmarkPipeline -benchtime=1x .

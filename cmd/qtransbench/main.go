@@ -37,7 +37,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("qtransbench", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "", "experiment id (fig4, fig9a..d, fig10a..d, fig11a..d, fig12a..b, fig13, fig14a..c, fig15, abl1, abl2, pipe, shard, autoshard, tiered, scan, metrics, serve, table1, table2) or 'all'")
+		experiment = fs.String("experiment", "", "experiment id (fig4, fig9a..d, fig10a..d, fig11a..d, fig12a..b, fig13, fig14a..c, fig15, abl2, pipe, shard, autoshard, tiered, scan, metrics, serve, table1, table2) or 'all'")
 		list       = fs.Bool("list", false, "list available experiments and exit")
 		scale      = fs.Float64("scale", 0.002, "dataset scale factor in (0,1]; 1 = paper scale (Table I sizes)")
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "BSP worker threads")

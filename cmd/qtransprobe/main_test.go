@@ -3,7 +3,7 @@ package main
 import "testing"
 
 func TestRunTinyProbe(t *testing.T) {
-	err := run([]string{"-dataset", "uniform", "-scale", "0.0002", "-batches", "1", "-workers", "1", "-modes", "org,sim"})
+	err := run([]string{"-dataset", "uniform", "-scale", "0.0002", "-batches", "1", "-workers", "1", "-modes", "org,inter"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +23,10 @@ func TestRunUnknownDataset(t *testing.T) {
 }
 
 func TestRunUnknownMode(t *testing.T) {
-	if err := run([]string{"-dataset", "uniform", "-scale", "0.0002", "-modes", "warp"}); err == nil {
-		t.Fatal("unknown mode accepted")
+	for _, mode := range []string{"warp", "sim"} {
+		if err := run([]string{"-dataset", "uniform", "-scale", "0.0002", "-modes", mode}); err == nil {
+			t.Fatalf("unknown mode %q accepted", mode)
+		}
 	}
 }
 

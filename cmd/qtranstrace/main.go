@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -42,7 +43,7 @@ func run(args []string) error {
 	case "gen":
 		return genCmd(args[1:])
 	case "info":
-		return infoCmd(args[1:])
+		return infoCmd(args[1:], os.Stdout)
 	case "import":
 		return importCmd(args[1:])
 	case "replay":
@@ -69,6 +70,12 @@ func genCmd(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("gen: -out is required")
 	}
+	if *queries < 0 {
+		return fmt.Errorf("gen: -queries %d must be >= 0", *queries)
+	}
+	if *u < 0 || *u > 1 {
+		return fmt.Errorf("gen: -u %v out of range [0,1]", *u)
+	}
 	spec, err := workload.SpecByName(*dataset, *scale)
 	if err != nil {
 		return err
@@ -92,7 +99,9 @@ func genCmd(args []string) error {
 	return f.Close()
 }
 
-func infoCmd(args []string) error {
+// infoCmd prints the trace's per-op counts (all five kinds, summing to
+// the query count), distinct keys and key redundancy to w.
+func infoCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("info", flag.ContinueOnError)
 	in := fs.String("in", "", "trace file (required)")
 	if err := fs.Parse(args); err != nil {
@@ -105,13 +114,13 @@ func infoCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	s, i, d := keys.CountOps(qs)
+	s, i, d, sc, m := keys.CountOps(qs)
 	distinct := map[keys.Key]struct{}{}
 	for _, q := range qs {
 		distinct[q.Key] = struct{}{}
 	}
-	fmt.Printf("queries: %d\nsearches: %d\ninserts: %d\ndeletes: %d\ndistinct keys: %d\nredundancy: %.1f%%\n",
-		len(qs), s, i, d, len(distinct), 100*(1-float64(len(distinct))/float64(max(1, len(qs)))))
+	fmt.Fprintf(w, "queries: %d\nsearches: %d\ninserts: %d\ndeletes: %d\nscans: %d\nrmws: %d\ndistinct keys: %d\nredundancy: %.1f%%\n",
+		len(qs), s, i, d, sc, m, len(distinct), 100*(1-float64(len(distinct))/float64(max(1, len(qs)))))
 	return nil
 }
 
@@ -154,7 +163,7 @@ func replayCmd(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	var (
 		in      = fs.String("in", "", "trace file (required)")
-		modeStr = fs.String("mode", "inter", "engine mode: org, intra, inter, sim")
+		modeStr = fs.String("mode", "inter", "engine mode: org, intra, inter")
 		batch   = fs.Int("batch", 20_000, "batch size")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "BSP workers")
 	)
@@ -164,9 +173,11 @@ func replayCmd(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("replay: -in is required")
 	}
+	if *batch < 1 {
+		return fmt.Errorf("replay: -batch %d must be >= 1", *batch)
+	}
 	mode, ok := map[string]core.Mode{
-		"org": core.Original, "intra": core.Intra,
-		"inter": core.IntraInter, "sim": core.SimIntra,
+		"org": core.Original, "intra": core.Intra, "inter": core.IntraInter,
 	}[*modeStr]
 	if !ok {
 		return fmt.Errorf("replay: unknown mode %q", *modeStr)

@@ -4,10 +4,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
-	"time"
-
-	"repro/internal/keys"
 )
 
 func TestNewPoolDefaultsToGOMAXPROCS(t *testing.T) {
@@ -152,136 +148,11 @@ func TestParallelExclusiveScanMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestSortQueriesSmall(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	qs := keys.Number([]keys.Query{
-		keys.Insert(9, 1), keys.Search(2), keys.Insert(9, 2), keys.Delete(2),
-	})
-	p.SortQueries(qs)
-	if !keys.IsSortedByKey(qs) {
-		t.Fatalf("not sorted: %v", qs)
-	}
-}
-
-func TestSortQueriesLargeStable(t *testing.T) {
-	p := NewPool(5)
-	defer p.Close()
-	r := rand.New(rand.NewSource(7))
-	n := 50000
-	qs := make([]keys.Query, n)
-	for i := range qs {
-		// Few distinct keys → lots of equal-key runs to test stability.
-		qs[i] = keys.Query{Key: keys.Key(r.Intn(50)), Op: keys.Op(r.Intn(3)), Value: keys.Value(i)}
-	}
-	keys.Number(qs)
-	p.SortQueries(qs)
-	if !keys.IsSortedByKey(qs) {
-		t.Fatal("large sort not stable-sorted")
-	}
-	// Permutation: Idx values must be exactly 0..n-1.
-	seen := make([]bool, n)
-	for _, q := range qs {
-		if seen[q.Idx] {
-			t.Fatalf("duplicate Idx %d", q.Idx)
-		}
-		seen[q.Idx] = true
-	}
-}
-
-func TestSortQueriesProperty(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	f := func(seed int64, size uint16) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := int(size)%9000 + 4100 // exercise the parallel path
-		qs := make([]keys.Query, n)
-		for i := range qs {
-			qs[i] = keys.Query{Key: keys.Key(r.Intn(100)), Value: keys.Value(r.Uint64())}
-		}
-		keys.Number(qs)
-		ref := make([]keys.Query, n)
-		copy(ref, qs)
-		keys.SortByKey(ref)
-		p.SortQueries(qs)
-		for i := range qs {
-			if qs[i] != ref[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSortQueriesOddRunCounts is a regression test: merge-round bound
-// collapsing used to duplicate the carried-over odd run's boundary,
-// looping forever whenever the run count reached exactly 3 (worker
-// counts 3, 6, 12, ...).
-func TestSortQueriesOddRunCounts(t *testing.T) {
-	for _, workers := range []int{3, 5, 6, 7, 12} {
-		p := NewPool(workers)
-		r := rand.New(rand.NewSource(int64(workers)))
-		n := 5000 + workers // force the parallel path
-		qs := make([]keys.Query, n)
-		for i := range qs {
-			qs[i] = keys.Query{Key: keys.Key(r.Intn(997))}
-		}
-		keys.Number(qs)
-		done := make(chan struct{})
-		go func() {
-			p.SortQueries(qs)
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(30 * time.Second):
-			t.Fatalf("workers=%d: SortQueries did not terminate", workers)
-		}
-		if !keys.IsSortedByKey(qs) {
-			t.Fatalf("workers=%d: not sorted", workers)
-		}
-		p.Close()
-	}
-}
-
-func TestMergeRuns(t *testing.T) {
-	a := []keys.Query{{Key: 1, Idx: 0}, {Key: 3, Idx: 1}}
-	b := []keys.Query{{Key: 2, Idx: 2}, {Key: 3, Idx: 3}}
-	out := make([]keys.Query, 4)
-	mergeRuns(out, a, b)
-	wantKeys := []keys.Key{1, 2, 3, 3}
-	wantIdx := []int32{0, 2, 1, 3}
-	for i := range out {
-		if out[i].Key != wantKeys[i] || out[i].Idx != wantIdx[i] {
-			t.Fatalf("out = %v", out)
-		}
-	}
-}
-
 func BenchmarkPoolBarrier(b *testing.B) {
 	p := NewPool(0)
 	defer p.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Run(func(tid int) {})
-	}
-}
-
-func BenchmarkParallelSort1M(b *testing.B) {
-	p := NewPool(0)
-	defer p.Close()
-	r := rand.New(rand.NewSource(1))
-	base := make([]keys.Query, 1<<20)
-	for i := range base {
-		base[i] = keys.Query{Key: keys.Key(r.Uint64() % (1 << 22)), Idx: int32(i)}
-	}
-	qs := make([]keys.Query, len(base))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(qs, base)
-		p.SortQueries(qs)
 	}
 }

@@ -1,8 +1,8 @@
 // Package bsp provides the bulk-synchronous-parallel runtime substrate
 // underneath the PALM batch processor and the parallel QTrans optimizer:
 // a reusable fixed-size worker pool with barrier semantics, data-parallel
-// loops, parallel prefix sums, and a parallel stable sort for query
-// batches.
+// loops, parallel prefix sums, and a parallel stable radix sort for
+// query batches.
 //
 // The paper's artifact builds these from Pthreads and boost; here they are
 // built from goroutines and channels. A Pool amortizes goroutine startup
@@ -31,13 +31,12 @@ type Pool struct {
 	close sync.Once
 	wg    sync.WaitGroup
 
-	// Sort scratch reused across SortQueries / RadixSortQueries calls.
+	// Sort scratch reused across RadixSortQueries calls.
 	// Because Run (and therefore sorting) has a single caller per pool,
 	// one scratch set per pool suffices; holding it here makes
 	// steady-state batch sorting allocation-free.
-	sortBuf    []keys.Query
-	sortBounds []int
-	radixCnt   [][]int
+	sortBuf  []keys.Query
+	radixCnt [][]int
 }
 
 // NewPool creates a pool of n workers. n <= 0 selects runtime.GOMAXPROCS(0).

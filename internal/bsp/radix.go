@@ -1,6 +1,10 @@
 package bsp
 
-import "repro/internal/keys"
+import (
+	"sort"
+
+	"repro/internal/keys"
+)
 
 // RadixSortQueries stably sorts a query batch by key using a parallel
 // least-significant-digit radix sort with 16-bit digits: up to four
@@ -9,9 +13,9 @@ import "repro/internal/keys"
 // key spaces sort in one or two passes.
 //
 // Radix sorting is how high-throughput batch systems sort integer keys
-// in practice; compared to the comparison-based SortQueries it is
-// O(n · passes) instead of O(n log n) and is the default batch sort
-// (the ablation benchmarks compare both).
+// in practice: O(n · passes) instead of O(n log n). It replaces the
+// boost parallel sort used by the paper's artifact for the pre-sorting
+// step of §IV-E.
 //
 // LSD radix with counting passes is inherently stable, preserving the
 // original order among equal keys as one-pass QSAT requires.
@@ -175,4 +179,18 @@ func (s *RadixScratch) RadixSortRun(qs []keys.Query) {
 	if &src[0] != &qs[0] {
 		copy(qs, src)
 	}
+}
+
+// sortRun stably sorts one small run by (key, original index): the
+// radix sorts' fallback below their size cutoffs. Because Idx is unique
+// per batch, sorting by the (Key, Idx) pair with an unstable sort yields
+// the same permutation as a stable sort by Key alone, and sort.Slice
+// avoids sort.SliceStable's extra allocations.
+func sortRun(qs []keys.Query) {
+	sort.Slice(qs, func(i, j int) bool {
+		if qs[i].Key != qs[j].Key {
+			return qs[i].Key < qs[j].Key
+		}
+		return qs[i].Idx < qs[j].Idx
+	})
 }

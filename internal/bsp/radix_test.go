@@ -136,23 +136,14 @@ func BenchmarkRadixSort1M(b *testing.B) {
 	}
 }
 
-func BenchmarkMergeSortVsRadix(b *testing.B) {
+func BenchmarkRadixSortRun(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	base := randomQueries(r, 1<<17, 22)
 	qs := make([]keys.Query, len(base))
-	b.Run("merge", func(b *testing.B) {
-		p := NewPool(1)
-		defer p.Close()
-		for i := 0; i < b.N; i++ {
-			copy(qs, base)
-			p.SortQueries(qs)
-		}
-	})
-	b.Run("radix", func(b *testing.B) {
-		var s RadixScratch
-		for i := 0; i < b.N; i++ {
-			copy(qs, base)
-			s.RadixSortRun(qs)
-		}
-	})
+	var s RadixScratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(qs, base)
+		s.RadixSortRun(qs)
+	}
 }

@@ -18,39 +18,10 @@
 // designed in an efficient way so that hashing conflicts can be
 // minimized"): no per-entry allocation, no pointer chasing.
 //
-// Replacement policies: LRU (default, as the paper suggests), FIFO, and
-// CLOCK, selectable for the ablation benchmarks.
+// Replacement is LRU, as the paper suggests.
 package cache
 
-import (
-	"fmt"
-
-	"repro/internal/keys"
-)
-
-// Policy selects the replacement policy.
-type Policy int
-
-// Replacement policies.
-const (
-	LRU Policy = iota
-	FIFO
-	CLOCK
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case FIFO:
-		return "fifo"
-	case CLOCK:
-		return "clock"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
+import "repro/internal/keys"
 
 // Entry is a snapshot of one cached key's state.
 type Entry struct {
@@ -70,7 +41,6 @@ type Entry struct {
 // remain (§V-B: "cache operations will be reduced to a minimum").
 type TopK struct {
 	capacity int
-	policy   Policy
 	t        *table
 
 	// OnEvict, when non-nil, observes every eviction (clean or dirty)
@@ -83,8 +53,8 @@ type TopK struct {
 
 // New creates a cache holding at most capacity entries. capacity <= 0
 // disables the cache (every lookup misses, admits are dropped).
-func New(capacity int, policy Policy) *TopK {
-	c := &TopK{capacity: capacity, policy: policy}
+func New(capacity int) *TopK {
+	c := &TopK{capacity: capacity}
 	if capacity > 0 {
 		c.t = newTable(capacity)
 	}
@@ -155,11 +125,11 @@ func (c *TopK) write(k keys.Key, v keys.Value, tomb bool) (keys.Query, bool) {
 	var flush keys.Query
 	evicted := false
 	if c.t.used >= c.capacity {
-		flush, evicted = c.evict(c.selectVictim())
+		flush, evicted = c.evict(c.t.tail)
 	}
 	idx := c.t.insert(k)
 	s := &c.t.slots[idx]
-	s.value, s.tombstone, s.dirty, s.ref = v, tomb, true, true
+	s.value, s.tombstone, s.dirty = v, tomb, true
 	c.t.pushHead(idx)
 	return flush, evicted
 }
@@ -197,11 +167,11 @@ func (c *TopK) admit(k keys.Key, v keys.Value, tomb bool) (keys.Query, bool) {
 	var flush keys.Query
 	evicted := false
 	if c.t.used >= c.capacity {
-		flush, evicted = c.evict(c.selectVictim())
+		flush, evicted = c.evict(c.t.tail)
 	}
 	idx := c.t.insert(k)
 	s := &c.t.slots[idx]
-	s.value, s.tombstone, s.ref = v, tomb, true
+	s.value, s.tombstone = v, tomb
 	c.t.pushHead(idx)
 	return flush, evicted
 }
@@ -299,33 +269,9 @@ func (c *TopK) DrainRange(lo, hi keys.Key) []keys.Query {
 	return out
 }
 
-// selectVictim picks the slot to evict per the policy.
-func (c *TopK) selectVictim() int32 {
-	switch c.policy {
-	case CLOCK:
-		// Sweep from the hand towards the head (wrapping to the
-		// tail), clearing reference bits until an unreferenced entry
-		// is found.
-		for {
-			if c.t.hand < 0 {
-				c.t.hand = c.t.tail
-			}
-			idx := c.t.hand
-			c.t.hand = c.t.slots[idx].prev
-			if !c.t.slots[idx].ref {
-				return idx
-			}
-			c.t.slots[idx].ref = false
-		}
-	default: // LRU and FIFO both evict the tail.
-		return c.t.tail
-	}
-}
-
-// touch updates recency on access.
+// touch moves slot idx to the head of the recency list.
 func (c *TopK) touch(idx int32) {
-	c.t.slots[idx].ref = true
-	if c.policy == LRU && c.t.head != idx {
+	if c.t.head != idx {
 		c.t.unlink(idx)
 		c.t.pushHead(idx)
 	}

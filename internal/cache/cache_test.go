@@ -8,17 +8,8 @@ import (
 	"repro/internal/keys"
 )
 
-func TestPolicyString(t *testing.T) {
-	if LRU.String() != "lru" || FIFO.String() != "fifo" || CLOCK.String() != "clock" {
-		t.Fatal("policy names changed")
-	}
-	if Policy(9).String() != "policy(9)" {
-		t.Fatal("unknown policy formatting")
-	}
-}
-
 func TestLookupMissAndHit(t *testing.T) {
-	c := New(2, LRU)
+	c := New(2)
 	if _, ok := c.Lookup(1); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -34,7 +25,7 @@ func TestLookupMissAndHit(t *testing.T) {
 }
 
 func TestWriteUpdatesInPlace(t *testing.T) {
-	c := New(2, LRU)
+	c := New(2)
 	c.WriteInsert(1, 10)
 	if fl, ev := c.WriteInsert(1, 20); ev {
 		t.Fatalf("update evicted %v", fl)
@@ -49,7 +40,7 @@ func TestWriteUpdatesInPlace(t *testing.T) {
 }
 
 func TestTombstone(t *testing.T) {
-	c := New(2, LRU)
+	c := New(2)
 	c.WriteDelete(5)
 	e, ok := c.Lookup(5)
 	if !ok || !e.Tombstone || !e.Dirty {
@@ -58,7 +49,7 @@ func TestTombstone(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(2, LRU)
+	c := New(2)
 	c.WriteInsert(1, 1)
 	c.WriteInsert(2, 2)
 	c.Lookup(1) // 1 becomes MRU; 2 is LRU
@@ -74,34 +65,8 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestFIFOEvictionIgnoresAccess(t *testing.T) {
-	c := New(2, FIFO)
-	c.WriteInsert(1, 1)
-	c.WriteInsert(2, 2)
-	c.Lookup(1) // FIFO ignores the touch
-	fl, ev := c.WriteInsert(3, 3)
-	if !ev || fl.Key != 1 {
-		t.Fatalf("FIFO must evict first-in key 1, got %v (evicted=%v)", fl, ev)
-	}
-}
-
-func TestCLOCKSecondChance(t *testing.T) {
-	c := New(2, CLOCK)
-	c.WriteInsert(1, 1)
-	c.WriteInsert(2, 2)
-	// Both have ref bits set; CLOCK clears them and evicts the first
-	// unreferenced entry it re-reaches.
-	_, ev := c.WriteInsert(3, 3)
-	if !ev || c.Len() != 2 {
-		t.Fatalf("CLOCK eviction failed: len=%d", c.Len())
-	}
-	if !c.Contains(3) {
-		t.Fatal("new key not admitted")
-	}
-}
-
 func TestEvictCleanEntryNoFlush(t *testing.T) {
-	c := New(1, LRU)
+	c := New(1)
 	c.Admit(1, 10) // clean
 	fl, ev := c.WriteInsert(2, 20)
 	if ev {
@@ -113,7 +78,7 @@ func TestEvictCleanEntryNoFlush(t *testing.T) {
 }
 
 func TestTombstoneFlushIsDelete(t *testing.T) {
-	c := New(1, LRU)
+	c := New(1)
 	c.WriteDelete(1)
 	fl, ev := c.WriteInsert(2, 2)
 	if !ev || fl.Op != keys.OpDelete || fl.Key != 1 {
@@ -122,7 +87,7 @@ func TestTombstoneFlushIsDelete(t *testing.T) {
 }
 
 func TestAdmitUpdatesExisting(t *testing.T) {
-	c := New(2, LRU)
+	c := New(2)
 	c.WriteDelete(1)
 	c.Admit(1, 5)
 	e, _ := c.Lookup(1)
@@ -138,7 +103,7 @@ func TestAdmitUpdatesExisting(t *testing.T) {
 }
 
 func TestFlushAllMarksClean(t *testing.T) {
-	c := New(4, LRU)
+	c := New(4)
 	c.WriteInsert(1, 1)
 	c.WriteInsert(2, 2)
 	c.WriteDelete(3)
@@ -155,7 +120,7 @@ func TestFlushAllMarksClean(t *testing.T) {
 }
 
 func TestAdmitAbsentTombstone(t *testing.T) {
-	c := New(2, LRU)
+	c := New(2)
 	if c.Capacity() != 2 {
 		t.Fatalf("Capacity = %d", c.Capacity())
 	}
@@ -178,7 +143,7 @@ func TestAdmitAbsentTombstone(t *testing.T) {
 		t.Fatalf("AdmitAbsent clobbered resident entry: %+v", e)
 	}
 	// Disabled cache ignores admission.
-	d := New(0, LRU)
+	d := New(0)
 	if _, ev := d.AdmitAbsent(1); ev || d.Len() != 0 {
 		t.Fatal("disabled cache admitted")
 	}
@@ -188,7 +153,7 @@ func TestAdmitAbsentTombstone(t *testing.T) {
 }
 
 func TestZeroCapacityDisabled(t *testing.T) {
-	c := New(0, LRU)
+	c := New(0)
 	if fl, ev := c.WriteInsert(1, 1); ev {
 		t.Fatalf("disabled cache evicted %v", fl)
 	}
@@ -201,7 +166,7 @@ func TestZeroCapacityDisabled(t *testing.T) {
 }
 
 func TestKeysRecencyOrder(t *testing.T) {
-	c := New(3, LRU)
+	c := New(3)
 	c.WriteInsert(1, 1)
 	c.WriteInsert(2, 2)
 	c.WriteInsert(3, 3)
@@ -213,56 +178,52 @@ func TestKeysRecencyOrder(t *testing.T) {
 }
 
 // Property: a cache backed by a model map behaves identically for
-// lookups, and capacity is never exceeded, under random operations for
-// every policy.
+// lookups, and capacity is never exceeded, under random operations.
 func TestCacheModelProperty(t *testing.T) {
-	for _, pol := range []Policy{LRU, FIFO, CLOCK} {
-		pol := pol
-		f := func(seed int64) bool {
-			r := rand.New(rand.NewSource(seed))
-			capacity := 1 + r.Intn(8)
-			c := New(capacity, pol)
-			model := map[keys.Key]Entry{} // resident contents
-			for op := 0; op < 500; op++ {
-				k := keys.Key(r.Intn(16))
-				switch r.Intn(3) {
-				case 0:
-					e, ok := c.Lookup(k)
-					m, mok := model[k]
-					if ok != mok {
-						return false
-					}
-					if ok && (e.Value != m.Value || e.Tombstone != m.Tombstone) {
-						return false
-					}
-				case 1:
-					fl, ev := c.WriteInsert(k, keys.Value(op))
-					if ev {
-						me, ok := model[fl.Key]
-						if !ok || !me.Dirty {
-							return false // evicted flush must match a dirty resident
-						}
-						delete(model, fl.Key)
-					}
-					model[k] = Entry{Key: k, Value: keys.Value(op), Dirty: true}
-				default:
-					fl, ev := c.WriteDelete(k)
-					if ev {
-						if _, ok := model[fl.Key]; !ok {
-							return false
-						}
-						delete(model, fl.Key)
-					}
-					model[k] = Entry{Key: k, Tombstone: true, Dirty: true}
-				}
-				if c.Len() > capacity || c.Len() != len(model) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		capacity := 1 + r.Intn(8)
+		c := New(capacity)
+		model := map[keys.Key]Entry{} // resident contents
+		for op := 0; op < 500; op++ {
+			k := keys.Key(r.Intn(16))
+			switch r.Intn(3) {
+			case 0:
+				e, ok := c.Lookup(k)
+				m, mok := model[k]
+				if ok != mok {
 					return false
 				}
+				if ok && (e.Value != m.Value || e.Tombstone != m.Tombstone) {
+					return false
+				}
+			case 1:
+				fl, ev := c.WriteInsert(k, keys.Value(op))
+				if ev {
+					me, ok := model[fl.Key]
+					if !ok || !me.Dirty {
+						return false // evicted flush must match a dirty resident
+					}
+					delete(model, fl.Key)
+				}
+				model[k] = Entry{Key: k, Value: keys.Value(op), Dirty: true}
+			default:
+				fl, ev := c.WriteDelete(k)
+				if ev {
+					if _, ok := model[fl.Key]; !ok {
+						return false
+					}
+					delete(model, fl.Key)
+				}
+				model[k] = Entry{Key: k, Tombstone: true, Dirty: true}
 			}
-			return true
+			if c.Len() > capacity || c.Len() != len(model) {
+				return false
+			}
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-			t.Fatalf("policy %v: %v", pol, err)
-		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }

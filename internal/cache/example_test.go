@@ -11,7 +11,7 @@ import (
 // The write-back protocol: defining queries dirty the cache; evictions
 // surface as flush queries the engine sends to the tree.
 func Example() {
-	c := cache.New(2, cache.LRU)
+	c := cache.New(2)
 
 	c.WriteInsert(1, 100) // dirty
 	c.WriteDelete(2)      // dirty tombstone

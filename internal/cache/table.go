@@ -18,7 +18,6 @@ type slot struct {
 	occupied  bool
 	tombstone bool
 	dirty     bool
-	ref       bool
 	prev      int32
 	next      int32
 }
@@ -29,8 +28,7 @@ type table struct {
 	mask  uint64
 	used  int
 	head  int32 // most recently used / inserted
-	tail  int32 // least recently used / first inserted
-	hand  int32 // CLOCK hand (slot index)
+	tail  int32 // least recently used
 }
 
 // newTable sizes the table for capacity entries at <= 50% load.
@@ -39,7 +37,7 @@ func newTable(capacity int) *table {
 	for size < capacity*2 {
 		size <<= 1
 	}
-	t := &table{slots: make([]slot, size), mask: uint64(size - 1), head: -1, tail: -1, hand: -1}
+	t := &table{slots: make([]slot, size), mask: uint64(size - 1), head: -1, tail: -1}
 	return t
 }
 
@@ -86,9 +84,6 @@ func (t *table) insert(k keys.Key) int32 {
 // them, so neighbors are re-pointed.
 func (t *table) remove(idx int32) {
 	t.unlink(idx)
-	if t.hand == idx {
-		t.hand = t.slots[idx].prev
-	}
 	i := uint64(idx)
 	t.slots[i] = slot{}
 	t.used--
@@ -115,7 +110,7 @@ func inCyclicRange(home, hole, j uint64) bool {
 }
 
 // moveSlot relocates an occupied slot to an empty index, fixing the
-// recency list links of its neighbors (and head/tail/hand).
+// recency list links of its neighbors (and head/tail).
 func (t *table) moveSlot(from, to int32) {
 	s := t.slots[from]
 	t.slots[to] = s
@@ -129,9 +124,6 @@ func (t *table) moveSlot(from, to int32) {
 		t.slots[s.next].prev = to
 	} else if t.tail == from {
 		t.tail = to
-	}
-	if t.hand == from {
-		t.hand = to
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // keys through insert/remove cycles, checking that probe chains and
 // recency links survive backward-shift deletion.
 func TestTableBackwardShiftChains(t *testing.T) {
-	c := New(4, LRU)
+	c := New(4)
 	// Insert 4, evict/remove by churn, and verify every resident key
 	// stays findable with correct value.
 	model := map[keys.Key]keys.Value{}
@@ -44,7 +44,7 @@ func TestTableBackwardShiftChains(t *testing.T) {
 // TestTableRecencyAfterShifts verifies the LRU order stays exact while
 // backward shifts relocate slots.
 func TestTableRecencyAfterShifts(t *testing.T) {
-	c := New(3, LRU)
+	c := New(3)
 	c.WriteInsert(10, 1)
 	c.WriteInsert(20, 2)
 	c.WriteInsert(30, 3)
@@ -84,80 +84,77 @@ func TestInCyclicRange(t *testing.T) {
 	}
 }
 
-// Property: random op sequences against a model map never diverge, for
-// every policy, including FlushAll interleavings.
+// Property: random op sequences against a model map never diverge,
+// including FlushAll interleavings.
 func TestTableModelProperty(t *testing.T) {
-	for _, pol := range []Policy{LRU, FIFO, CLOCK} {
-		pol := pol
-		f := func(seed int64) bool {
-			r := rand.New(rand.NewSource(seed))
-			capacity := 1 + r.Intn(16)
-			c := New(capacity, pol)
-			model := map[keys.Key]Entry{}
-			// OnEvict keeps the model exact even for clean evictions,
-			// which return no flush query.
-			bad := false
-			c.OnEvict = func(k keys.Key) {
-				if _, ok := model[k]; !ok {
-					bad = true
-				}
-				delete(model, k)
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		capacity := 1 + r.Intn(16)
+		c := New(capacity)
+		model := map[keys.Key]Entry{}
+		// OnEvict keeps the model exact even for clean evictions,
+		// which return no flush query.
+		bad := false
+		c.OnEvict = func(k keys.Key) {
+			if _, ok := model[k]; !ok {
+				bad = true
 			}
-			for op := 0; op < 600; op++ {
-				k := keys.Key(r.Intn(40))
-				switch r.Intn(5) {
-				case 0:
-					e, ok := c.Lookup(k)
-					m, mok := model[k]
-					if ok != mok {
-						return false
-					}
-					if ok && (e.Value != m.Value || e.Tombstone != m.Tombstone || e.Dirty != m.Dirty) {
-						return false
-					}
-				case 1:
-					fl, ev := c.WriteInsert(k, keys.Value(op))
-					if ev && fl.Op != keys.OpInsert && fl.Op != keys.OpDelete {
-						return false
-					}
-					model[k] = Entry{Key: k, Value: keys.Value(op), Dirty: true}
-				case 2:
-					c.WriteDelete(k)
-					model[k] = Entry{Key: k, Tombstone: true, Dirty: true}
-				case 3:
-					fl := c.FlushAll()
-					dirty := 0
-					for _, m := range model {
-						if m.Dirty {
-							dirty++
-						}
-					}
-					if len(fl) != dirty {
-						return false
-					}
-					for mk, m := range model {
-						m.Dirty = false
-						model[mk] = m
-					}
-				default:
-					if c.Contains(k) != func() bool { _, ok := model[k]; return ok }() {
-						return false
+			delete(model, k)
+		}
+		for op := 0; op < 600; op++ {
+			k := keys.Key(r.Intn(40))
+			switch r.Intn(5) {
+			case 0:
+				e, ok := c.Lookup(k)
+				m, mok := model[k]
+				if ok != mok {
+					return false
+				}
+				if ok && (e.Value != m.Value || e.Tombstone != m.Tombstone || e.Dirty != m.Dirty) {
+					return false
+				}
+			case 1:
+				fl, ev := c.WriteInsert(k, keys.Value(op))
+				if ev && fl.Op != keys.OpInsert && fl.Op != keys.OpDelete {
+					return false
+				}
+				model[k] = Entry{Key: k, Value: keys.Value(op), Dirty: true}
+			case 2:
+				c.WriteDelete(k)
+				model[k] = Entry{Key: k, Tombstone: true, Dirty: true}
+			case 3:
+				fl := c.FlushAll()
+				dirty := 0
+				for _, m := range model {
+					if m.Dirty {
+						dirty++
 					}
 				}
-				if bad || c.Len() > capacity || c.Len() != len(model) {
+				if len(fl) != dirty {
+					return false
+				}
+				for mk, m := range model {
+					m.Dirty = false
+					model[mk] = m
+				}
+			default:
+				if c.Contains(k) != func() bool { _, ok := model[k]; return ok }() {
 					return false
 				}
 			}
-			return true
+			if bad || c.Len() > capacity || c.Len() != len(model) {
+				return false
+			}
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-			t.Fatalf("policy %v: %v", pol, err)
-		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func BenchmarkCacheLookupHit(b *testing.B) {
-	c := New(1<<16, LRU)
+	c := New(1 << 16)
 	for i := 0; i < 1<<16; i++ {
 		c.WriteInsert(keys.Key(i), keys.Value(i))
 	}
@@ -169,7 +166,7 @@ func BenchmarkCacheLookupHit(b *testing.B) {
 }
 
 func BenchmarkCacheWriteChurn(b *testing.B) {
-	c := New(1<<12, LRU)
+	c := New(1 << 12)
 	r := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,16 +1,13 @@
 package core
 
 // Ablation benchmarks for the design choices called out in DESIGN.md
-// §5: one-pass vs two-round QSAT, cache capacity and policy sweeps,
-// and pre-sorted vs unsorted batches.
+// §5: one-pass vs two-round QSAT and the cache capacity sweep.
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/bsp"
-	"repro/internal/cache"
 	"repro/internal/keys"
 	"repro/internal/palm"
 	"repro/internal/workload"
@@ -68,21 +65,6 @@ func BenchmarkAblationCacheCapacity(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCachePolicy compares LRU, FIFO, and CLOCK
-// replacement at a fixed capacity.
-func BenchmarkAblationCachePolicy(b *testing.B) {
-	for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.CLOCK} {
-		b.Run(pol.String(), func(b *testing.B) {
-			benchEngine(b, EngineConfig{
-				Mode:          IntraInter,
-				Palm:          palm.Config{Workers: 1, LoadBalance: true},
-				CacheCapacity: 1 << 12,
-				CachePolicy:   pol,
-			})
-		})
-	}
-}
-
 // benchEngine streams skewed batches through an engine configuration.
 func benchEngine(b *testing.B, cfg EngineConfig) {
 	b.Helper()
@@ -114,61 +96,6 @@ func benchEngine(b *testing.B, cfg EngineConfig) {
 	st := eng.Stats()
 	if st.CacheHits+st.CacheMisses > 0 {
 		b.ReportMetric(100*float64(st.CacheHits)/float64(st.CacheHits+st.CacheMisses), "hit%")
-	}
-}
-
-// BenchmarkAblationPreSorted compares PALM on pre-sorted vs unsorted
-// batches, isolating the pre-sorting cost QTrans piggybacks on (§IV-E).
-func BenchmarkAblationPreSorted(b *testing.B) {
-	for _, pre := range []bool{false, true} {
-		name := "unsorted"
-		if pre {
-			name = "presorted"
-		}
-		b.Run(name, func(b *testing.B) {
-			pool := bsp.NewPool(1)
-			defer pool.Close()
-			proc, err := palm.New(palm.Config{Workers: 1, LoadBalance: true, PreSorted: pre}, pool)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer proc.Close()
-			r := rand.New(rand.NewSource(3))
-			gen := workload.NewUniform(1 << 18)
-			const batchSize = 1 << 14
-			rs := keys.NewResultSet(batchSize)
-			batch := make([]keys.Query, batchSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				workload.FillBatch(gen, r, batch, 0.5)
-				if pre {
-					keys.SortByKey(batch)
-				}
-				rs.Reset(batchSize)
-				b.StartTimer()
-				proc.ProcessBatch(batch, rs)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSortAlgorithm compares the default radix sort
-// against the comparison merge sort through the full engine (org mode,
-// where the batch sort is the dominant transform-side cost).
-func BenchmarkAblationSortAlgorithm(b *testing.B) {
-	for _, cmp := range []bool{false, true} {
-		name := "radix"
-		if cmp {
-			name = "merge"
-		}
-		b.Run(name, func(b *testing.B) {
-			benchEngine(b, EngineConfig{
-				Mode:        Original,
-				Palm:        palm.Config{Workers: 1, LoadBalance: true},
-				CompareSort: cmp,
-			})
-		})
 	}
 }
 

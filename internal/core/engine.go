@@ -28,15 +28,6 @@ const (
 	// IntraInter additionally enables the inter-batch top-K cache of
 	// §V-B ("inter").
 	IntraInter
-	// SimIntra replaces the symbolic QSAT with the simulation-based
-	// elimination the paper discusses as an "alternative solution" in
-	// §IV-E: the batch is absorbed, unsorted, into a scratch hash map,
-	// so the pre-sort cost disappears from the transform at the price
-	// of evaluating every query against the simulation structure. On
-	// hosts where sorting dominates (few cores, cache-resident trees)
-	// this variant can out-run the sort-based QSAT; see the ablation
-	// experiments.
-	SimIntra
 )
 
 // String names the mode as in the paper's figures.
@@ -48,8 +39,6 @@ func (m Mode) String() string {
 		return "intra"
 	case IntraInter:
 		return "inter"
-	case SimIntra:
-		return "sim"
 	default:
 		return "mode?"
 	}
@@ -64,11 +53,6 @@ type EngineConfig struct {
 	// CacheCapacity is the top-K cache size (K); used only in
 	// IntraInter mode. <= 0 disables the cache even in IntraInter.
 	CacheCapacity int
-	// CachePolicy selects the replacement policy (default LRU).
-	CachePolicy cache.Policy
-	// CompareSort selects comparison sorting everywhere instead of the
-	// default radix sort (ablation; see palm.Config.CompareSort).
-	CompareSort bool
 	// Pipeline enables two-stage pipelined stream execution: while the
 	// tree stages of batch N run on the engine's pool, the sort + QSAT
 	// transform of batch N+1 runs concurrently on a second pool. Only
@@ -142,7 +126,6 @@ func NewEngineWithTree(cfg EngineConfig, tree *btree.Tree) (*Engine, error) {
 }
 
 func newEngine(cfg EngineConfig, tree *btree.Tree) (*Engine, error) {
-	cfg.Palm.CompareSort = cfg.CompareSort
 	pool := bsp.NewPool(cfg.Palm.Workers)
 	var proc *palm.Processor
 	if tree != nil {
@@ -162,10 +145,9 @@ func newEngine(cfg EngineConfig, tree *btree.Tree) (*Engine, error) {
 		tf:   NewTransformer(pool),
 		st:   stats.NewBatch(pool.N()),
 	}
-	e.tf.CompareSort = cfg.CompareSort
 	e.met = newEngineMetrics(cfg.Metrics)
 	if cfg.Mode == IntraInter && cfg.CacheCapacity > 0 {
-		e.topK = cache.New(cfg.CacheCapacity, cfg.CachePolicy)
+		e.topK = cache.New(cfg.CacheCapacity)
 		e.flushed = make(map[keys.Key]flushState)
 	}
 	return e, nil
@@ -238,12 +220,7 @@ func (e *Engine) processBatch(qs []keys.Query, rs *keys.ResultSet) {
 		return
 	}
 
-	var remaining []keys.Query
-	if e.cfg.Mode == SimIntra {
-		remaining = e.tf.TransformSim(qs, rs, e.st)
-	} else {
-		remaining = e.tf.Transform(qs, rs, e.st)
-	}
+	remaining := e.tf.Transform(qs, rs, e.st)
 
 	// Commit point: after QSAT, before the cache pass mutates anything.
 	if !e.commit(remaining) {
@@ -288,7 +265,7 @@ func (e *Engine) processScanRMW(qs []keys.Query, rs *keys.ResultSet, hasScan boo
 
 	var plans [][]keys.Query
 	if e.cfg.Mode != Original {
-		plans = e.tf.TransformEpochs(plan.epochs, len(qs), rs, e.st, e.cfg.Mode == SimIntra)
+		plans = e.tf.TransformEpochs(plan.epochs, len(qs), rs, e.st)
 	}
 	if !e.commitPlan(plan, plans) {
 		return

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/btree"
-	"repro/internal/cache"
 	"repro/internal/keys"
 	"repro/internal/oracle"
 	"repro/internal/palm"
@@ -117,32 +116,16 @@ func TestEngineIntraInterDifferential(t *testing.T) {
 	}
 }
 
+// TestEngineIntraInterPolicies runs the LRU cache at a capacity small
+// enough that most admits evict a dirty entry.
 func TestEngineIntraInterPolicies(t *testing.T) {
-	for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.CLOCK} {
-		r := rand.New(rand.NewSource(int64(pol) + 100))
-		batches := skewedBatches(r, 4, 2000, 10, 500, 0.6)
-		engineDifferential(t, EngineConfig{
-			Mode:          IntraInter,
-			Palm:          palm.Config{Order: 8, Workers: 4, LoadBalance: true},
-			CacheCapacity: 8,
-			CachePolicy:   pol,
-		}, batches)
-	}
-}
-
-func TestEngineCompareSortDifferential(t *testing.T) {
-	// The comparison-sort ablation path must be exactly as correct as
-	// the default radix path, in every mode.
-	for _, mode := range []Mode{Original, Intra, IntraInter, SimIntra} {
-		r := rand.New(rand.NewSource(int64(mode) + 77))
-		batches := skewedBatches(r, 3, 2500, 15, 1500, 0.5)
-		engineDifferential(t, EngineConfig{
-			Mode:          mode,
-			Palm:          palm.Config{Order: 8, Workers: 4, LoadBalance: true},
-			CacheCapacity: 64,
-			CompareSort:   true,
-		}, batches)
-	}
+	r := rand.New(rand.NewSource(100))
+	batches := skewedBatches(r, 4, 2000, 10, 500, 0.6)
+	engineDifferential(t, EngineConfig{
+		Mode:          IntraInter,
+		Palm:          palm.Config{Order: 8, Workers: 4, LoadBalance: true},
+		CacheCapacity: 8,
+	}, batches)
 }
 
 func TestEngineSearchOnlyBatches(t *testing.T) {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/bsp"
 	"repro/internal/keys"
 	"repro/internal/stats"
@@ -31,10 +29,6 @@ type Transformer struct {
 	// Router is exposed so the integration layer (Engine) can resolve
 	// cache-served representatives and broadcast surviving ones.
 	Router Router
-	// CompareSort selects comparison sorting for the Phase-I
-	// mini-batch sorts and the Phase-II shuffle instead of the default
-	// radix sort (ablation).
-	CompareSort bool
 
 	emitters []*Emitter
 	radix    []bsp.RadixScratch
@@ -98,11 +92,7 @@ func (t *Transformer) transform(qs []keys.Query, rs *keys.ResultSet, st *stats.B
 	t.pool.Run(func(tid int) {
 		lo, hi := bsp.SplitRange(tid, nw, n)
 		mb := qs[lo:hi]
-		if t.CompareSort {
-			sortStable(mb)
-		} else {
-			t.radix[tid].RadixSortRun(mb)
-		}
+		t.radix[tid].RadixSortRun(mb)
 		e := t.emitters[tid]
 		if e == nil {
 			e = NewEmitter(&t.Router, rs)
@@ -131,11 +121,7 @@ func (t *Transformer) transform(qs []keys.Query, rs *keys.ResultSet, st *stats.B
 			t.inferred += e.Inferred
 		}
 	}
-	if t.CompareSort {
-		t.pool.SortQueries(t.merged)
-	} else {
-		t.pool.RadixSortQueries(t.merged)
-	}
+	t.pool.RadixSortQueries(t.merged)
 
 	// Split the merged sequence across workers along key-run
 	// boundaries (a key's queries must stay on one worker, §V-A).
@@ -161,50 +147,6 @@ func (t *Transformer) transform(qs []keys.Query, rs *keys.ResultSet, st *stats.B
 	return t.out
 }
 
-// TransformSim runs the simulation-based elimination of §IV-E (the
-// SimIntra mode): the unsorted batch is absorbed into a scratch hash
-// map, then only the (much smaller) reduced stream is sorted. Like
-// Transform it writes inferred answers into rs, records surviving
-// representatives for Broadcast, and returns the reduced, stably
-// key-sorted sequence. st may be nil.
-func (t *Transformer) TransformSim(qs []keys.Query, rs *keys.ResultSet, st *stats.Batch) []keys.Query {
-	t.Router.Reset(len(qs))
-	t.reps = t.reps[:0]
-	t.inferred = 0
-	return t.transformSim(qs, rs, st)
-}
-
-// transformSim is TransformSim without the Router/reps reset (see
-// transform).
-func (t *Transformer) transformSim(qs []keys.Query, rs *keys.ResultSet, st *stats.Batch) []keys.Query {
-	if len(qs) == 0 {
-		return nil
-	}
-
-	var sw stats.Stopwatch
-	if st != nil {
-		sw = st.Timer(stats.StageQSAT1)
-	}
-	remaining, reps, inferred := SimQSAT(qs, &t.Router, rs)
-	t.inferred += inferred
-	t.reps = append(t.reps, reps...)
-	if st != nil {
-		sw.Stop()
-		sw = st.Timer(stats.StageQSAT2)
-	}
-
-	if t.CompareSort {
-		t.pool.SortQueries(remaining)
-	} else {
-		t.pool.RadixSortQueries(remaining)
-	}
-	if st != nil {
-		sw.Stop()
-		st.InferredReturns += inferred
-	}
-	return remaining
-}
-
 // TransformEpochs runs the transformer over each epoch of a scan/RMW
 // batch in order, against one shared Router sized for the whole batch
 // (epoch Idx sets are disjoint, so chains never collide). The returned
@@ -212,8 +154,8 @@ func (t *Transformer) transformSim(qs []keys.Query, rs *keys.ResultSet, st *stat
 // next TransformEpochs/Transform call — the engine commits their
 // concatenation to the WAL once, then applies them interleaved with
 // the batch's scan groups. Accumulated reps are broadcast once at end
-// of batch via Broadcast. sim selects the SimQSAT path (SimIntra).
-func (t *Transformer) TransformEpochs(epochs [][]keys.Query, totalN int, rs *keys.ResultSet, st *stats.Batch, sim bool) [][]keys.Query {
+// of batch via Broadcast.
+func (t *Transformer) TransformEpochs(epochs [][]keys.Query, totalN int, rs *keys.ResultSet, st *stats.Batch) [][]keys.Query {
 	t.Router.Reset(totalN)
 	t.reps = t.reps[:0]
 	t.inferred = 0
@@ -222,13 +164,7 @@ func (t *Transformer) TransformEpochs(epochs [][]keys.Query, totalN int, rs *key
 
 	ends := make([]int, 0, len(epochs))
 	for _, ep := range epochs {
-		var out []keys.Query
-		if sim {
-			out = t.transformSim(ep, rs, st)
-		} else {
-			out = t.transform(ep, rs, st)
-		}
-		t.planBuf = append(t.planBuf, out...)
+		t.planBuf = append(t.planBuf, t.transform(ep, rs, st)...)
 		ends = append(ends, len(t.planBuf))
 	}
 	lo := 0
@@ -245,17 +181,6 @@ func (t *Transformer) Broadcast(rs *keys.ResultSet) {
 	for _, rep := range t.reps {
 		t.Router.Broadcast(rs, rep)
 	}
-}
-
-// sortStable stably key-sorts a mini-batch. Sorting by (Key, Idx) with
-// an unstable sort is equivalent because original indices are unique.
-func sortStable(qs []keys.Query) {
-	sort.Slice(qs, func(i, j int) bool {
-		if qs[i].Key != qs[j].Key {
-			return qs[i].Key < qs[j].Key
-		}
-		return qs[i].Idx < qs[j].Idx
-	})
 }
 
 // runAlignedBounds returns nw+1 boundaries splitting qs into nw chunks

@@ -79,10 +79,8 @@ func (e *Engine) initPipeline() {
 	e.tfPool = bsp.NewPool(e.pool.N())
 	e.slots = make([]*pipeSlot, 2)
 	for i := range e.slots {
-		tf := NewTransformer(e.tfPool)
-		tf.CompareSort = e.cfg.CompareSort
 		e.slots[i] = &pipeSlot{
-			tf: tf,
+			tf: NewTransformer(e.tfPool),
 			st: stats.NewBatch(e.tfPool.N()),
 			rs: keys.NewResultSet(0),
 		}
@@ -176,26 +174,17 @@ func (e *Engine) transformStage(slot *pipeSlot) {
 			slot.plan = batchPlan{epochs: [][]keys.Query{job.Qs}, scans: [][]keys.Query{nil}}
 		}
 		if e.cfg.Mode != Original {
-			slot.plans = slot.tf.TransformEpochs(slot.plan.epochs, len(job.Qs), job.RS, st, e.cfg.Mode == SimIntra)
+			slot.plans = slot.tf.TransformEpochs(slot.plan.epochs, len(job.Qs), job.RS, st)
 		}
 		return
 	}
 
-	switch e.cfg.Mode {
-	case Original:
-		if !e.cfg.Palm.PreSorted {
-			sw := st.Timer(stats.StageSort)
-			if e.cfg.CompareSort {
-				e.tfPool.SortQueries(job.Qs)
-			} else {
-				e.tfPool.RadixSortQueries(job.Qs)
-			}
-			sw.Stop()
-		}
+	if e.cfg.Mode == Original {
+		sw := st.Timer(stats.StageSort)
+		e.tfPool.RadixSortQueries(job.Qs)
+		sw.Stop()
 		slot.remaining = job.Qs
-	case SimIntra:
-		slot.remaining = slot.tf.TransformSim(job.Qs, job.RS, st)
-	default: // Intra, IntraInter
+	} else {
 		slot.remaining = slot.tf.Transform(job.Qs, job.RS, st)
 	}
 }

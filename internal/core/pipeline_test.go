@@ -74,7 +74,7 @@ func streamDifferential(t *testing.T, cfg EngineConfig, batches [][]keys.Query) 
 // is byte-identical to serial execution (both are checked against the
 // oracle) for every mode, with and without the inter-batch cache.
 func TestPipelineDifferential(t *testing.T) {
-	for _, mode := range []Mode{Original, Intra, IntraInter, SimIntra} {
+	for _, mode := range []Mode{Original, Intra, IntraInter} {
 		for _, capacity := range []int{0, 64} {
 			if capacity > 0 && mode != IntraInter {
 				continue
@@ -90,23 +90,6 @@ func TestPipelineDifferential(t *testing.T) {
 				}, batches)
 			}
 		}
-	}
-}
-
-// TestPipelineCompareSortDifferential covers the comparison-sort
-// ablation path under pipelining (it exercises the transform pool's
-// merge sort in stage A).
-func TestPipelineCompareSortDifferential(t *testing.T) {
-	for _, mode := range []Mode{Original, IntraInter} {
-		r := rand.New(rand.NewSource(int64(mode) + 31))
-		batches := skewedBatches(r, 10, 400, 10, 300, 0.5)
-		streamDifferential(t, EngineConfig{
-			Mode:          mode,
-			Palm:          palm.Config{Order: 8, Workers: 3, LoadBalance: true},
-			CacheCapacity: 32,
-			CompareSort:   true,
-			Pipeline:      true,
-		}, batches)
 	}
 }
 

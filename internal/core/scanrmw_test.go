@@ -121,7 +121,7 @@ func itoa(n int) string {
 // extended query set: every engine mode against the oracle on batches
 // mixing all five operations, on the gapped node layout.
 func TestEngineScanRMWDifferential(t *testing.T) {
-	for _, mode := range []Mode{Original, Intra, IntraInter, SimIntra} {
+	for _, mode := range []Mode{Original, Intra, IntraInter} {
 		t.Run(mode.String()+"/gapped", func(t *testing.T) {
 			r := rand.New(rand.NewSource(7 * int64(mode)))
 			batches := make([][]keys.Query, 12)
@@ -141,7 +141,7 @@ func TestEngineScanRMWDifferential(t *testing.T) {
 // hit eventually — the transformed execution must equal the serial
 // oracle.
 func TestEngineScanRMWSmallBatches(t *testing.T) {
-	for _, mode := range []Mode{Original, Intra, IntraInter, SimIntra} {
+	for _, mode := range []Mode{Original, Intra, IntraInter} {
 		t.Run(mode.String(), func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(mode) + 1))
 			batches := make([][]keys.Query, 400)
@@ -515,7 +515,7 @@ func FuzzRangeRMWEquivalence(f *testing.F) {
 		if len(qs) == 0 {
 			return
 		}
-		for _, mode := range []Mode{Original, IntraInter, SimIntra} {
+		for _, mode := range []Mode{Original, IntraInter} {
 			o := oracle.New()
 			want := keys.NewResultSet(len(qs))
 			o.ApplyAll(qs, want)

@@ -235,24 +235,6 @@ func TestFig15Output(t *testing.T) {
 	}
 }
 
-func TestAblation1Output(t *testing.T) {
-	rn := NewRunner(tinyOpts())
-	var buf bytes.Buffer
-	if err := Ablation1(rn, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"org_qps", "intra_qps", "inter_qps", "sim_qps"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("abl1 missing %q:\n%s", want, out)
-		}
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 1+len(UpdateRatios) {
-		t.Fatalf("abl1 rows = %d", len(lines))
-	}
-}
-
 func TestAblation2Output(t *testing.T) {
 	rn := NewRunner(Options{Scale: 0.0005, Workers: 2, Order: 16, Seed: 3, CacheCapacity: 64})
 	var buf bytes.Buffer

@@ -353,25 +353,8 @@ func KeyRuns(qs []Query, fn func(lo, hi int)) {
 	}
 }
 
-// CountOps tallies the number of searches, inserts, and deletes in qs.
-// Scans and RMWs are not included; use CountOpsFull when a batch may
-// mix all five ops.
-func CountOps(qs []Query) (searches, inserts, deletes int) {
-	for i := range qs {
-		switch qs[i].Op {
-		case OpSearch:
-			searches++
-		case OpInsert:
-			inserts++
-		case OpDelete:
-			deletes++
-		}
-	}
-	return
-}
-
-// CountOpsFull tallies all five operation kinds in qs.
-func CountOpsFull(qs []Query) (searches, inserts, deletes, scans, rmws int) {
+// CountOps tallies all five operation kinds in qs.
+func CountOps(qs []Query) (searches, inserts, deletes, scans, rmws int) {
 	for i := range qs {
 		switch qs[i].Op {
 		case OpSearch:

@@ -175,10 +175,11 @@ func TestKeyRunsEmpty(t *testing.T) {
 }
 
 func TestCountOps(t *testing.T) {
-	qs := []Query{Search(1), Search(2), Insert(3, 0), Delete(4), Delete(5), Delete(6)}
-	s, i, d := CountOps(qs)
-	if s != 2 || i != 1 || d != 3 {
-		t.Errorf("CountOps = %d,%d,%d; want 2,1,3", s, i, d)
+	qs := []Query{Search(1), Search(2), Insert(3, 0), Delete(4), Delete(5), Delete(6),
+		Scan(1, 9, 0), AddDelta(7, 1), SetIfAbsent(8, 2)}
+	s, i, d, sc, m := CountOps(qs)
+	if s != 2 || i != 1 || d != 3 || sc != 1 || m != 2 {
+		t.Errorf("CountOps = %d,%d,%d,%d,%d; want 2,1,3,1,2", s, i, d, sc, m)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/btree"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/keys"
 	"repro/internal/oracle"
@@ -21,7 +20,6 @@ func testEngineConfig(mode core.Mode, pipeline bool) core.EngineConfig {
 		Mode:          mode,
 		Palm:          palm.Config{Order: 8, Workers: 2, LoadBalance: true},
 		CacheCapacity: 16,
-		CachePolicy:   cache.LRU,
 		Pipeline:      pipeline,
 	}
 }
@@ -62,7 +60,7 @@ func checkAgainst(t *testing.T, tag string, batch int, want, got *keys.ResultSet
 // identical results and final stores.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	const span = 256
-	for _, mode := range []core.Mode{core.Original, core.Intra, core.IntraInter, core.SimIntra} {
+	for _, mode := range []core.Mode{core.Original, core.Intra, core.IntraInter} {
 		for _, n := range []int{1, 2, 3, 8} {
 			orc := oracle.New()
 			plain, err := core.NewEngine(testEngineConfig(mode, false))

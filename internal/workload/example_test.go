@@ -18,7 +18,7 @@ func Example() {
 	r := rand.New(rand.NewSource(1))
 	batch := workload.Batch(gen, r, 10000, 0.25) // 25% updates
 
-	s, i, d := keys.CountOps(batch)
+	s, i, d, _, _ := keys.CountOps(batch)
 	fmt.Println("searches > updates:", s > i+d)
 	frac, _ := workload.Coverage(gen, rand.New(rand.NewSource(1)), 50000, 100)
 	fmt.Println("top-100 keys cover more than a third of draws:", frac > 0.33)

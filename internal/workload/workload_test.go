@@ -164,7 +164,7 @@ func TestBatchMixRatios(t *testing.T) {
 	g := NewUniform(1000)
 	r := rand.New(rand.NewSource(9))
 	qs := Batch(g, r, 20000, 0.5)
-	s, i, d := keys.CountOps(qs)
+	s, i, d, _, _ := keys.CountOps(qs)
 	if s < 9000 || s > 11000 {
 		t.Fatalf("searches = %d, want ~10000", s)
 	}
@@ -187,7 +187,7 @@ func TestBatchUpdateRatioZero(t *testing.T) {
 	g := NewUniform(100)
 	r := rand.New(rand.NewSource(10))
 	qs := Batch(g, r, 1000, 0)
-	s, i, d := keys.CountOps(qs)
+	s, i, d, _, _ := keys.CountOps(qs)
 	if s != 1000 || i != 0 || d != 0 {
 		t.Fatalf("U-0 mix: %d/%d/%d", s, i, d)
 	}

@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/batcher"
 	"repro/internal/btree"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/keys"
 	"repro/internal/palm"
@@ -67,10 +66,6 @@ const (
 	None
 	// IntraBatch adds only the parallel intra-batch QTrans (§V-A).
 	IntraBatch
-	// Simulation uses the hash-based elimination of §IV-E's
-	// "alternative solution" instead of sort-based QSAT; fastest on
-	// few-core hosts where sorting dominates.
-	Simulation
 )
 
 func (o Optimization) mode() core.Mode {
@@ -79,8 +74,6 @@ func (o Optimization) mode() core.Mode {
 		return core.Original
 	case IntraBatch:
 		return core.Intra
-	case Simulation:
-		return core.SimIntra
 	default:
 		return core.IntraInter
 	}
@@ -260,7 +253,6 @@ func (opts Options) engineConfig() core.EngineConfig {
 			LoadBalance: true,
 		},
 		CacheCapacity: capacity,
-		CachePolicy:   cache.LRU,
 		Pipeline:      opts.Pipeline,
 		Metrics:       opts.Metrics,
 	}

@@ -52,7 +52,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke perfbench-smoke bench bench-scan bench-serve bench-autoshard bench-tiered
+.PHONY: ci vet build test race race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke perfbench-smoke bench bench-check bench-scan bench-serve bench-autoshard bench-tiered
 
 ci: vet build test race race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke perfbench-smoke
 
@@ -80,12 +80,13 @@ race-scan:
 	$(GO) test -race -run 'BatchScanAndRMW' -count=1 ./qtrans
 
 # The network front end (DESIGN.md §12) under the race detector: the
-# full client/server stack — pipelining, admission-control shedding,
-# and the mid-load graceful drain — plus the batcher stall regression
-# suite it depends on. Also part of the plain `race` target; kept
-# callable on its own for server work.
+# full client/server stack — pipelining, flush-before-block at both
+# ends of a connection, admission-control shedding, and the mid-load
+# graceful drain — the client's scripted-peer tests, plus the batcher
+# stall regression suite it depends on. Also part of the plain `race`
+# target; kept callable on its own for server work.
 race-server:
-	$(GO) test -race -count=1 ./internal/server
+	$(GO) test -race -count=1 ./internal/server/...
 	$(GO) test -race -run 'Stall|SubmitFlushClose' -count=1 ./internal/batcher
 	$(GO) test -race -count=1 ./cmd/qtransserver
 
@@ -130,6 +131,14 @@ perfbench-smoke:
 # Full benchmark sweep with allocation reporting (not part of ci).
 bench:
 	$(GO) test -run=XXX -bench=. -benchmem .
+
+# Paired comparison of the parent commit against HEAD on the repository
+# benchmark (scripts/benchcmp.py): 3 interleaved pairs per workload at
+# --seconds 3, judged against the BENCHMARK.json bounds. Not part of ci:
+# the 2-vCPU host drifts 18-25% between sessions, and the sweep takes
+# about a quarter of an hour. Use --pairs 10 --seconds 10 for evidence.
+bench-check:
+	python3 scripts/benchcmp.py --base HEAD~1 --head HEAD --pairs 3 --seconds 3
 
 # Range scans and read-modify-write (DESIGN.md §11): batched scans vs
 # the same coverage as repeated point gets, and AddDelta vs the

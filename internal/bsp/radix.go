@@ -116,13 +116,17 @@ type RadixScratch struct {
 	buf    []keys.Query
 }
 
-// RadixSortRun stably sorts one run by key with a sequential LSD radix
-// sort (16-bit digits, skipping passes above the maximum key). Small
+// radixMinRun is the smallest run RadixSortRun radix-sorts; shorter
 // runs fall back to comparison sorting, where the per-pass counter
 // reset would dominate.
+const radixMinRun = 4096
+
+// RadixSortRun stably sorts one run by key with a sequential LSD radix
+// sort (16-bit digits, skipping passes above the maximum key). Runs
+// shorter than radixMinRun fall back to comparison sorting.
 func (s *RadixScratch) RadixSortRun(qs []keys.Query) {
 	n := len(qs)
-	if n < 4096 {
+	if n < radixMinRun {
 		sortRun(qs)
 		return
 	}

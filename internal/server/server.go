@@ -30,14 +30,15 @@ type Config struct {
 	// response frame stays far below MaxFrameLen; a scan with no limit
 	// or a larger one gets this limit instead (<= 0: 65536).
 	MaxScanRows int
-	// QueueDepth bounds each connection's pipeline of submitted-but-
-	// unanswered requests; a reader that gets this far ahead of its
-	// writer blocks, pushing backpressure into the socket (<= 0: 512).
-	QueueDepth int
 	// Metrics, when non-nil, receives the server_* counters and the
 	// server_connections gauge alongside the Stats() atomics.
 	Metrics *metrics.Registry
 }
+
+// PipelineDepth bounds each connection's pipeline of submitted-but-
+// unanswered requests: a reader that gets this far ahead of its writer
+// blocks, pushing backpressure into the socket.
+const PipelineDepth = 512
 
 // Stats is a point-in-time copy of the server's request accounting.
 // Accepted counts request frames that decoded successfully; every
@@ -55,6 +56,10 @@ type Stats struct {
 	Drained int64
 	// Conns is the number of currently open connections.
 	Conns int64
+	// PipelineFlushes is the number of times a reader found its
+	// connection's pipeline full with the engine idle and flushed the
+	// batcher rather than wait out its MaxDelay.
+	PipelineFlushes int64
 }
 
 // Server multiplexes TCP connections into a Batcher: one reader and
@@ -65,18 +70,19 @@ type Server struct {
 	cfg       Config
 	highWater int
 	maxScan   keys.Value
-	queueCap  int
 
 	accepted  atomic.Int64
 	responses atomic.Int64
 	shed      atomic.Int64
 	drained   atomic.Int64
 	nconns    atomic.Int64
+	pflushes  atomic.Int64
 
 	mAccepted  *metrics.Counter
 	mResponses *metrics.Counter
 	mShed      *metrics.Counter
 	mDrained   *metrics.Counter
+	mPFlushes  *metrics.Counter
 	mConns     *metrics.Gauge
 
 	draining atomic.Bool
@@ -96,7 +102,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		highWater: cfg.HighWater,
 		maxScan:   keys.Value(cfg.MaxScanRows),
-		queueCap:  cfg.QueueDepth,
 		conns:     make(map[net.Conn]struct{}),
 	}
 	if s.highWater <= 0 {
@@ -105,14 +110,12 @@ func New(cfg Config) (*Server, error) {
 	if s.maxScan <= 0 {
 		s.maxScan = 65536
 	}
-	if s.queueCap <= 0 {
-		s.queueCap = 512
-	}
 	if cfg.Metrics != nil {
 		s.mAccepted = cfg.Metrics.Counter("server_accepted_total")
 		s.mResponses = cfg.Metrics.Counter("server_responses_total")
 		s.mShed = cfg.Metrics.Counter("server_shed_total")
 		s.mDrained = cfg.Metrics.Counter("server_drained_total")
+		s.mPFlushes = cfg.Metrics.Counter("server_pipeline_flushes_total")
 		s.mConns = cfg.Metrics.Gauge("server_connections")
 	}
 	return s, nil
@@ -121,11 +124,12 @@ func New(cfg Config) (*Server, error) {
 // Stats returns a snapshot of the request accounting.
 func (s *Server) Stats() Stats {
 	return Stats{
-		Accepted:  s.accepted.Load(),
-		Responses: s.responses.Load(),
-		Shed:      s.shed.Load(),
-		Drained:   s.drained.Load(),
-		Conns:     s.nconns.Load(),
+		Accepted:        s.accepted.Load(),
+		Responses:       s.responses.Load(),
+		Shed:            s.shed.Load(),
+		Drained:         s.drained.Load(),
+		Conns:           s.nconns.Load(),
+		PipelineFlushes: s.pflushes.Load(),
 	}
 }
 
@@ -188,7 +192,7 @@ type pending struct {
 
 func (s *Server) handle(c net.Conn) {
 	defer s.wg.Done()
-	queue := make(chan pending, s.queueCap)
+	queue := make(chan pending, PipelineDepth)
 	var wwg sync.WaitGroup
 	wwg.Add(1)
 	go func() {
@@ -212,6 +216,12 @@ func (s *Server) handle(c net.Conn) {
 // pending slot per accepted request into queue (order = response
 // order). It exits on any read or decode error; during a drain the
 // deadline nudge from Shutdown surfaces here as a read error.
+//
+// A full queue must flush before blocking: the futures that would free
+// it may still sit in the batcher's pending list, waiting out MaxDelay.
+// So when the engine is idle (dispatch backlog 0) the reader flushes
+// the batcher first; with a backlog it just blocks, because cutting a
+// batch early would only make batches smaller while the engine is busy.
 func (s *Server) readLoop(c net.Conn, queue chan<- pending) {
 	br := bufio.NewReaderSize(c, 4*1024)
 	var scratch []byte
@@ -229,7 +239,22 @@ func (s *Server) readLoop(c net.Conn, queue chan<- pending) {
 		if s.mAccepted != nil {
 			s.mAccepted.Add(1)
 		}
-		queue <- s.admit(req)
+		slot := s.admit(req)
+		select {
+		case queue <- slot:
+			continue
+		default:
+		}
+		if _, backlog := s.cfg.Batcher.Load(); backlog == 0 {
+			// Count first, so a caller that sees the flush's effect
+			// also sees it counted.
+			s.pflushes.Add(1)
+			if s.mPFlushes != nil {
+				s.mPFlushes.Add(1)
+			}
+			s.cfg.Batcher.Flush()
+		}
+		queue <- slot
 	}
 }
 
@@ -271,10 +296,12 @@ func (s *Server) admit(req Request) pending {
 }
 
 // writeLoop resolves each pending slot in order and writes its
-// response frame, flushing whenever the pipeline goes idle. Every slot
-// taken from queue is encoded and written exactly once; a write error
-// stops the loop but keeps consuming slots so the reader never blocks
-// on a dead writer.
+// response frame. It flushes before every point where it would block:
+// when the queue is empty, and when the next slot's future is not yet
+// resolved, so answered responses never wait in the buffer behind an
+// unanswered one. Every slot taken from queue is encoded and written
+// exactly once; a write error stops the loop but keeps consuming slots
+// so the reader never blocks on a dead writer.
 func (s *Server) writeLoop(c net.Conn, queue <-chan pending) {
 	bw := bufio.NewWriterSize(c, 4*1024)
 	var frame []byte
@@ -282,6 +309,15 @@ func (s *Server) writeLoop(c net.Conn, queue <-chan pending) {
 	for p := range queue {
 		resp := Response{ID: p.id, Status: p.status}
 		if p.fut != nil {
+			if !broken && bw.Buffered() > 0 {
+				select {
+				case <-p.fut.Done():
+				default:
+					if err := bw.Flush(); err != nil {
+						broken = true
+					}
+				}
+			}
 			res, ok := p.fut.Get()
 			resp.Recorded = ok
 			resp.Found = res.Found

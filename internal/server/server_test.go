@@ -12,6 +12,7 @@ import (
 	"repro/internal/batcher"
 	"repro/internal/core"
 	"repro/internal/keys"
+	"repro/internal/metrics"
 	"repro/internal/palm"
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -222,17 +223,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		// Wait for the server to have submitted it (backlog visible).
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if _, backlog := b.Load(); backlog == i+1 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("backlog never reached %d", i+1)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
+		waitBacklog(t, b, i+1) // the server has submitted it
 	}
 	// Probe on a second connection: responses are in-order per
 	// connection, so on c the shed reply would queue behind the three
@@ -410,5 +401,151 @@ func TestServerConcurrencyHammer(t *testing.T) {
 	st := s.Stats()
 	if st.Responses != st.Accepted {
 		t.Fatalf("accepted %d != responses %d", st.Accepted, st.Responses)
+	}
+}
+
+// TestWriterFlushesBeforeBlockingOnFuture pipelines two requests into
+// separate batches and lets only the first execute: its response must
+// reach the client while the writer waits on the second future, not
+// sit in the write buffer until the second batch runs.
+func TestWriterFlushesBeforeBlockingOnFuture(t *testing.T) {
+	proc := &gatedProc{gate: make(chan struct{})}
+	b := batcher.New(proc, batcher.Config{MaxBatch: 1, MaxDelay: time.Hour})
+	defer b.Close()
+	_, addr, _ := startServer(t, server.Config{Batcher: b})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var once sync.Once
+	releaseAll := func() { once.Do(func() { close(proc.gate) }) }
+	defer releaseAll()
+
+	var futs [2]*client.Future
+	for i := range futs {
+		if futs[i], err = c.Do(keys.Search(keys.Key(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitBacklog(t, b, 2)
+	// Submit returns just before the reader hands the slot to the
+	// writer's queue. Give it that step: a writer that found the queue
+	// empty would flush anyway, and the test would pass for the wrong
+	// reason.
+	time.Sleep(20 * time.Millisecond)
+	proc.gate <- struct{}{} // run the first batch only
+
+	resp := waitWithin(t, futs[0], 2*time.Second, "first response still buffered while the writer waits on the second future")
+	if resp.Status != server.StatusOK || !resp.Found || resp.Value != 0 {
+		t.Fatalf("first response: %+v", resp)
+	}
+	releaseAll() // only now can the second future resolve
+	if resp, err := futs[1].Wait(); err != nil || resp.Status != server.StatusOK || resp.Value != 1 {
+		t.Fatalf("second response: %+v, %v", resp, err)
+	}
+}
+
+// TestFullPipelineDispatchesWhenEngineIdle pipelines more requests
+// than one connection's pipeline holds, under a batcher that would
+// otherwise wait an hour to dispatch: with the engine idle, the
+// blocked reader must flush the batcher so responses start flowing.
+func TestFullPipelineDispatchesWhenEngineIdle(t *testing.T) {
+	b := batcher.New(newEngine(t), batcher.Config{MaxBatch: 1 << 20, MaxDelay: time.Hour})
+	defer b.Close()
+	reg := metrics.New()
+	s, addr, _ := startServer(t, server.Config{Batcher: b, Metrics: reg})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	n := server.PipelineDepth + 88 // past what the queue and the writer's slot hold
+	futs := make([]*client.Future, n)
+	for i := range futs {
+		if futs[i], err = c.Do(keys.Insert(keys.Key(i), keys.Value(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Teardown: tick Flush until every future resolves — the requests
+	// behind the first dispatched batch stay pending for MaxDelay.
+	resolved := make(chan struct{})
+	go func() {
+		for _, f := range futs {
+			f.Wait()
+		}
+		close(resolved)
+	}()
+	var once sync.Once
+	drain := func() {
+		once.Do(func() {
+			tick := time.NewTicker(time.Millisecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-resolved:
+					return
+				case <-tick.C:
+					b.Flush()
+				}
+			}
+		})
+	}
+	defer drain()
+
+	if resp := waitWithin(t, futs[0], 3*time.Second, "no response while the reader blocks on a full pipeline"); resp.Status != server.StatusOK {
+		t.Fatalf("first response: %+v", resp)
+	}
+	if st := s.Stats(); st.PipelineFlushes == 0 {
+		t.Fatal("Stats.PipelineFlushes = 0 after a full pipeline")
+	}
+	if got := reg.Snapshot().Counters["server_pipeline_flushes_total"]; got == 0 {
+		t.Fatal("server_pipeline_flushes_total = 0 after a full pipeline")
+	}
+	drain()
+	for i, f := range futs {
+		if resp, err := f.Wait(); err != nil || resp.Status != server.StatusOK {
+			t.Fatalf("future %d: %+v, %v", i, resp, err)
+		}
+	}
+}
+
+// waitWithin returns f's response, failing the test with msg if it
+// takes longer than d.
+func waitWithin(t *testing.T, f *client.Future, d time.Duration, msg string) server.Response {
+	t.Helper()
+	got := make(chan server.Response, 1)
+	go func() {
+		resp, _ := f.Wait()
+		got <- resp
+	}()
+	select {
+	case resp := <-got:
+		return resp
+	case <-time.After(d):
+		t.Fatal(msg)
+		return server.Response{}
+	}
+}
+
+// waitBacklog waits until the batcher reports want dispatched batches.
+func waitBacklog(t *testing.T, b *batcher.Batcher, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, backlog := b.Load(); backlog == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("backlog never reached %d", want)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
